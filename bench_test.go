@@ -50,17 +50,23 @@ func BenchmarkFig3aPowerCapacity(b *testing.B) {
 
 // BenchmarkFig3bCapacity regenerates the usable-blocks curves (Fig. 3b).
 func BenchmarkFig3bCapacity(b *testing.B) {
-	var rows []expers.Fig3bRow
+	var curves []*expers.MechCurve
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, _, err = expers.Fig3b(expers.L1ConfigA())
+		curves, _, err = expers.Fig3bMechs(expers.L1ConfigA(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	// Capacity retained at 0.54 V (grid index for 0.54 from 0.30).
-	b.ReportMetric(rows[24].Proposed*100, "proposedCap@0.54V-%")
-	b.ReportMetric(rows[24].FFTCache*100, "fftCap@0.54V-%")
+	for _, c := range curves {
+		switch c.Name {
+		case "proposed":
+			b.ReportMetric(c.Capacity[24]*100, "proposedCap@0.54V-%")
+		case "fftcache":
+			b.ReportMetric(c.Capacity[24]*100, "fftCap@0.54V-%")
+		}
+	}
 }
 
 // BenchmarkFig3cLeakage regenerates the leakage breakdown (Fig. 3c).
@@ -82,11 +88,11 @@ func BenchmarkFig3dYield(b *testing.B) {
 	var rows []expers.MinVDDRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		_, _, err = expers.Fig3d(expers.L1ConfigA())
+		_, _, err = expers.Fig3dMechs(expers.L1ConfigA(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		rows, _, err = expers.MinVDDs(expers.L1ConfigA())
+		rows, _, err = expers.MinVDDMechs(expers.L1ConfigA(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -150,7 +156,7 @@ func fig4Bench(b *testing.B, cfg cpusim.SystemConfig) {
 	opts := cpusim.RunOptions{WarmupInstr: 200_000, SimInstr: 1_000_000, Seed: 1}
 	var sum expers.Summary
 	for i := 0; i < b.N; i++ {
-		data, err := expers.Fig4ParallelWorkloads(context.Background(), cfg, workloads, opts, 0, nil)
+		data, _, err := expers.Fig4Grid(context.Background(), cfg, workloads, opts, runner.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

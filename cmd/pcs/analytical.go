@@ -80,12 +80,7 @@ func analyticalCommand() *cli.Command {
 				}
 			}
 			if all || fig3a {
-				var t *report.Table
-				if mechNames == nil {
-					_, t, err = expers.Fig3a(org, 2)
-				} else {
-					_, t, err = expers.Fig3aMechs(org, 2, mechNames)
-				}
+				_, t, err := expers.Fig3aMechs(org, 2, mechNames)
 				if err != nil {
 					return err
 				}
@@ -99,12 +94,7 @@ func analyticalCommand() *cli.Command {
 				}
 			}
 			if all || fig3b {
-				var t *report.Table
-				if mechNames == nil {
-					_, t, err = expers.Fig3b(org)
-				} else {
-					_, t, err = expers.Fig3bMechs(org, mechNames)
-				}
+				_, t, err := expers.Fig3bMechs(org, mechNames)
 				if err != nil {
 					return err
 				}
@@ -122,23 +112,14 @@ func analyticalCommand() *cli.Command {
 				}
 			}
 			if all || fig3d {
-				var t, mt *report.Table
-				if mechNames == nil {
-					_, t, err = expers.Fig3d(org)
-				} else {
-					_, t, err = expers.Fig3dMechs(org, mechNames)
-				}
+				_, t, err := expers.Fig3dMechs(org, mechNames)
 				if err != nil {
 					return err
 				}
 				if err := render(t); err != nil {
 					return err
 				}
-				if mechNames == nil {
-					_, mt, err = expers.MinVDDs(org)
-				} else {
-					_, mt, err = expers.MinVDDMechs(org, mechNames)
-				}
+				_, mt, err := expers.MinVDDMechs(org, mechNames)
 				if err != nil {
 					return err
 				}
@@ -225,9 +206,9 @@ func pickOrg(name string) (cacti.Org, error) {
 }
 
 // parseMechanisms parses a -mechanisms selection. An empty flag returns
-// nil: the commands then take the legacy fixed-shape code paths, which
-// render the registry's default set. A non-empty selection is resolved
-// eagerly so typos fail before any table prints.
+// nil, which the comparison surfaces read as the registry's default
+// set. A non-empty selection is resolved eagerly so typos fail before
+// any table prints.
 func parseMechanisms(csv string) ([]string, error) {
 	if strings.TrimSpace(csv) == "" {
 		return nil, nil

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -11,6 +12,8 @@ import (
 	"repro/internal/cpusim"
 	"repro/internal/expers"
 	"repro/internal/plot"
+	"repro/internal/runner"
+	"repro/internal/trace"
 )
 
 // figuresCommand renders the paper's figures as SVG files: Fig. 2 (BER
@@ -159,7 +162,7 @@ func figuresCommand() *cli.Command {
 			// Fig. 4 panels from a (scaled) simulation run.
 			opts := cpusim.RunOptions{WarmupInstr: instr / 4, SimInstr: instr, Seed: 1}
 			for _, cfg := range []cpusim.SystemConfig{cpusim.ConfigA(), cpusim.ConfigB()} {
-				data, err := expers.Fig4(cfg, opts, os.Stderr)
+				data, err := fig4Grid(cfg, opts)
 				if err != nil {
 					return err
 				}
@@ -205,4 +208,11 @@ func clampNonNeg(xs []float64) []float64 {
 		}
 	}
 	return out
+}
+
+// fig4Grid runs one configuration's full Fig. 4 grid for the figure and
+// report commands, logging each finished cell to stderr.
+func fig4Grid(cfg cpusim.SystemConfig, opts cpusim.RunOptions) (expers.Fig4Data, error) {
+	data, _, err := expers.Fig4Grid(context.Background(), cfg, trace.Suite(), opts, runner.Options{OnResult: logCell})
+	return data, err
 }

@@ -1,11 +1,8 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -13,9 +10,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/expers"
 	"repro/internal/report"
-	"repro/internal/runner"
 	"repro/internal/trace"
-	"repro/internal/version"
 )
 
 // multicoreCommand runs the multi-core extension (the paper's Sec. 5
@@ -34,12 +29,8 @@ func multicoreCommand() *cli.Command {
 		shared    float64
 		cfgSel    string
 		seed      uint64
-		workers   int
 		jsonOut   bool
-		runsRoot  string
-		progress  bool
-		traceOn   bool
-		cacheDir  string
+		camp      = campaigns{cmd: "multicore"}
 	)
 	return &cli.Command{
 		Name:    "multicore",
@@ -54,12 +45,12 @@ func multicoreCommand() *cli.Command {
 			fs.Float64Var(&shared, "shared", 0.10, "fraction of data accesses to the shared region")
 			fs.StringVar(&cfgSel, "config", "A", "system configuration: A or B")
 			fs.Uint64Var(&seed, "seed", 1, "seed")
-			fs.IntVar(&workers, "workers", 0, "campaign worker count (0 = GOMAXPROCS)")
+			fs.IntVar(&camp.workers, "workers", 0, "campaign worker count (0 = GOMAXPROCS)")
 			fs.BoolVar(&jsonOut, "json", false, "emit the table as JSON instead of text")
-			fs.StringVar(&runsRoot, "runs", "", "archive campaign records under this directory (e.g. runs)")
-			fs.BoolVar(&progress, "progress", false, "log campaign progress to stderr")
-			fs.BoolVar(&traceOn, "trace", false, "with -runs: record campaign trace spans (spans.jsonl, for pcs report -perfetto/-top)")
-			fs.StringVar(&cacheDir, "cache", "", "content-addressed result cache directory (memoizes grid cells across runs)")
+			fs.StringVar(&camp.runsRoot, "runs", "", "archive campaign records under this directory (e.g. runs)")
+			fs.BoolVar(&camp.progress, "progress", false, "log campaign progress to stderr")
+			fs.BoolVar(&camp.trace, "trace", false, "with -runs: record campaign trace spans (spans.jsonl, for pcs report -perfetto/-top)")
+			fs.StringVar(&camp.cacheDir, "cache", "", "content-addressed result cache directory (memoizes grid cells across runs)")
 		},
 		Run: func(fs *flag.FlagSet) error {
 			set := flagsSet(fs)
@@ -77,7 +68,7 @@ func multicoreCommand() *cli.Command {
 					seed = doc.Seed
 				}
 				if !set["workers"] && doc.Workers > 0 {
-					workers = doc.Workers
+					camp.workers = doc.Workers
 				}
 			} else {
 				// The old binary's hard-wired shared-region size and
@@ -116,47 +107,18 @@ func multicoreCommand() *cli.Command {
 			if err := doc.Validate(); err != nil {
 				return err
 			}
-			camp, err := doc.ExpandCampaign()
+			grid, err := doc.ExpandCampaign()
 			if err != nil {
 				return err
 			}
-
-			cache, err := openCache(cacheDir)
+			if err := camp.open(); err != nil {
+				return err
+			}
+			results, err := camp.runCampaign("multicore", grid)
 			if err != nil {
 				return err
 			}
-			if traceOn && runsRoot == "" {
-				return fmt.Errorf("-trace needs -runs (spans.jsonl lives next to the campaign records)")
-			}
-			opts := runner.Options{Workers: workers, Cache: cache, CodeVersion: version.String()}
-			if runsRoot != "" {
-				dir, err := runner.NewRunDir(filepath.Join(runsRoot, "multicore"))
-				if err != nil {
-					return err
-				}
-				opts.ArtifactDir = dir
-				opts.TraceSpans = traceOn
-			}
-			if progress {
-				opts.OnProgress = func(p runner.Progress) {
-					fmt.Fprintf(os.Stderr, "pcs multicore: %d/%d done (%.2f jobs/s, ETA %s)\n",
-						p.Completed(), p.Total, p.JobsPerSec, p.ETA.Round(1e8))
-				}
-			}
-			res, err := runner.Run(context.Background(), expers.NewCampaignRegistry(), camp, opts)
-			if err != nil {
-				return err
-			}
-			for _, r := range res.Results {
-				if r.Status != runner.StatusDone {
-					return fmt.Errorf("job %d (%s) %s: %s", r.Index, r.Name, r.Status, r.Error)
-				}
-			}
-			if res.ArtifactDir != "" {
-				fmt.Fprintf(os.Stderr, "pcs multicore: records archived in %s\n", res.ArtifactDir)
-			}
-			fmt.Fprintf(os.Stderr, "pcs multicore: %d cells: %d cached, %d computed, %d failed\n",
-				len(res.Results), res.Cached, res.Done-res.Cached, res.Failed)
+			camp.summary()
 
 			w, _ := trace.ByName(ms.Bench)
 			cfgName := strings.ToUpper(ms.Config)
@@ -170,7 +132,7 @@ func multicoreCommand() *cli.Command {
 				var baseCycles uint64
 				var baseE float64
 				for _, mode := range []string{"baseline", "SPCS", "DPCS"} {
-					out := res.Results[i].Output.(expers.MulticoreOutput)
+					out := results[i].Output.(expers.MulticoreOutput)
 					i++
 					if mode == "baseline" {
 						baseCycles, baseE = out.GlobalCycles, out.TotalCacheEnergyJ
@@ -182,10 +144,7 @@ func multicoreCommand() *cli.Command {
 						fmt.Sprintf("%.1f", (1-out.TotalCacheEnergyJ/baseE)*100))
 				}
 			}
-			if jsonOut {
-				return t.RenderJSON(os.Stdout)
-			}
-			return t.Render(os.Stdout)
+			return renderTableJSON(t, jsonOut)
 		},
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 
 	"repro/internal/cli"
@@ -18,7 +17,6 @@ import (
 	"repro/internal/report"
 	"repro/internal/runner"
 	"repro/internal/trace"
-	"repro/internal/version"
 )
 
 // simCommand is the Fig. 4 architectural simulation: the 16 SPEC-like
@@ -36,10 +34,7 @@ func simCommand() *cli.Command {
 		csv      bool
 		quiet    bool
 		timeline string
-		workers  int
-		runsRoot string
-		traceOn  bool
-		cacheDir string
+		camp     = campaigns{cmd: "sim"}
 		prof     profiler
 	)
 	return &cli.Command{
@@ -57,10 +52,10 @@ func simCommand() *cli.Command {
 			fs.BoolVar(&csv, "csv", false, "emit CSV instead of aligned tables")
 			fs.BoolVar(&quiet, "q", false, "suppress per-run progress lines")
 			fs.StringVar(&timeline, "timeline", "", "with -bench: write the DPCS policy timeline to this JSONL file")
-			fs.IntVar(&workers, "workers", runtime.GOMAXPROCS(0), "parallel simulations for the full grid (results are identical at any worker count)")
-			fs.StringVar(&runsRoot, "runs", "", "archive grid campaign records under this directory (e.g. runs)")
-			fs.BoolVar(&traceOn, "trace", false, "with -runs: record campaign trace spans (spans.jsonl, for pcs report -perfetto/-top)")
-			fs.StringVar(&cacheDir, "cache", "", "content-addressed result cache directory (memoizes grid cells across runs)")
+			fs.IntVar(&camp.workers, "workers", runtime.GOMAXPROCS(0), "parallel simulations for the full grid (results are identical at any worker count)")
+			fs.StringVar(&camp.runsRoot, "runs", "", "archive grid campaign records under this directory (e.g. runs)")
+			fs.BoolVar(&camp.trace, "trace", false, "with -runs: record campaign trace spans (spans.jsonl, for pcs report -perfetto/-top)")
+			fs.StringVar(&camp.cacheDir, "cache", "", "content-addressed result cache directory (memoizes grid cells across runs)")
 			prof.register(fs)
 		},
 		Run: func(fs *flag.FlagSet) error {
@@ -99,73 +94,48 @@ func simCommand() *cli.Command {
 					seed = doc.Seed
 				}
 				if !set["workers"] && doc.Workers > 0 {
-					workers = doc.Workers
+					camp.workers = doc.Workers
 				}
 			}
 
-			var cfgs []cpusim.SystemConfig
-			switch cfgSel {
-			case "A", "a":
-				cfgs = []cpusim.SystemConfig{cpusim.ConfigA()}
-			case "B", "b":
-				cfgs = []cpusim.SystemConfig{cpusim.ConfigB()}
-			case "both":
-				cfgs = []cpusim.SystemConfig{cpusim.ConfigA(), cpusim.ConfigB()}
-			default:
-				return fmt.Errorf("unknown config %q", cfgSel)
-			}
-			opts := cpusim.RunOptions{WarmupInstr: warmup, SimInstr: instr, Seed: seed}
-
-			var progress io.Writer
-			if !quiet {
-				progress = os.Stderr
-			}
-			if timeline != "" && bench == "" {
-				return fmt.Errorf("-timeline needs -bench (it records one DPCS run)")
-			}
-			if traceOn && runsRoot == "" {
-				return fmt.Errorf("-trace needs -runs (spans.jsonl lives next to the campaign records)")
-			}
-			if runsRoot != "" && bench != "" {
-				return fmt.Errorf("-runs records the full grid; it cannot combine with -bench")
-			}
-			cache, err := openCache(cacheDir)
+			cfgs, err := cpusim.ConfigsByName(cfgSel)
 			if err != nil {
 				return err
 			}
+			opts := cpusim.RunOptions{WarmupInstr: warmup, SimInstr: instr, Seed: seed}
 
-			var total expers.GridStats
-			for _, cfg := range cfgs {
-				if bench != "" {
+			if timeline != "" && bench == "" {
+				return fmt.Errorf("-timeline needs -bench (it records one DPCS run)")
+			}
+			if camp.runsRoot != "" && bench != "" {
+				return fmt.Errorf("-runs records the full grid; it cannot combine with -bench")
+			}
+			if err := camp.open(); err != nil {
+				return err
+			}
+			if bench != "" {
+				for _, cfg := range cfgs {
 					if err := runSingle(cfg, bench, opts, timeline); err != nil {
 						return err
 					}
-					continue
 				}
-				if progress != nil {
-					fmt.Fprintf(progress, "config %s: %d benchmarks x 3 modes, %d instr each, %d workers\n",
-						cfg.Name, len(trace.Suite()), opts.SimInstr, workers)
+				return nil
+			}
+
+			for _, cfg := range cfgs {
+				if !quiet {
+					fmt.Fprintf(os.Stderr, "config %s: %d benchmarks x 3 modes, %d instr each, %d workers\n",
+						cfg.Name, len(trace.Suite()), opts.SimInstr, camp.workers)
 				}
-				gopts := expers.GridOptions{
-					Workers:     workers,
-					Progress:    progress,
-					Cache:       cache,
-					CodeVersion: version.String(),
-				}
-				if runsRoot != "" {
-					dir, err := runner.NewRunDir(filepath.Join(runsRoot, "fig4-"+cfg.Name))
-					if err != nil {
-						return err
+				var data expers.Fig4Data
+				_, err := camp.run("fig4-"+cfg.Name, func(ctx context.Context, ropts runner.Options) (*runner.CampaignResult, error) {
+					if !quiet {
+						ropts.OnResult = logCell
 					}
-					gopts.ArtifactDir = dir
-					gopts.TraceSpans = traceOn
-					fmt.Fprintf(os.Stderr, "pcs sim: config %s: recording campaign in %s\n", cfg.Name, dir)
-				}
-				data, stats, err := expers.Fig4Grid(context.Background(), cfg, opts, gopts)
-				total.Cells += stats.Cells
-				total.Cached += stats.Cached
-				total.Computed += stats.Computed
-				total.Failed += stats.Failed
+					d, res, err := expers.Fig4Grid(ctx, cfg, trace.Suite(), opts, ropts)
+					data = d
+					return res, err
+				})
 				if err != nil {
 					return err
 				}
@@ -181,14 +151,16 @@ func simCommand() *cli.Command {
 					}
 				}
 			}
-			if bench == "" {
-				// Summary goes to stderr: stdout carries only the tables,
-				// which golden files compare byte for byte.
-				fmt.Fprintf(os.Stderr, "pcs sim: %d cells: %d cached, %d computed, %d failed\n",
-					total.Cells, total.Cached, total.Computed, total.Failed)
-			}
+			camp.summary()
 			return nil
 		},
+	}
+}
+
+// logCell is the Fig. 4 grid's per-cell progress line on stderr.
+func logCell(r runner.JobResult) {
+	if r.Status == runner.StatusDone {
+		fmt.Fprintf(os.Stderr, "  %s\n", r.Output.(cpusim.Result))
 	}
 }
 

@@ -1,21 +1,16 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
-	"sync"
 
 	"repro/internal/cli"
 	"repro/internal/config"
 	"repro/internal/expers"
-	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/runner"
-	"repro/internal/version"
 )
 
 // sweepCommand explores the design space around the paper's mechanism —
@@ -30,13 +25,8 @@ func sweepCommand() *cli.Command {
 		bench    string
 		instr    uint64
 		seed     uint64
-		workers  int
 		jsonOut  bool
-		runsRoot string
-		progress bool
-		timeline bool
-		traceOn  bool
-		cacheDir string
+		camp     = campaigns{cmd: "sweep"}
 		mechsCSV string
 		prof     profiler
 	)
@@ -63,13 +53,13 @@ func sweepCommand() *cli.Command {
 			fs.StringVar(&bench, "bench", "bzip2.s", "benchmark for -dpcs")
 			fs.Uint64Var(&instr, "instr", 4_000_000, "instructions for -dpcs, -leakage and -ablate runs")
 			fs.Uint64Var(&seed, "seed", 1, "seed pinned into the simulation-backed studies")
-			fs.IntVar(&workers, "workers", 0, "campaign worker count (0 = GOMAXPROCS)")
+			fs.IntVar(&camp.workers, "workers", 0, "campaign worker count (0 = GOMAXPROCS)")
 			fs.BoolVar(&jsonOut, "json", false, "emit tables as JSON instead of text")
-			fs.StringVar(&runsRoot, "runs", "", "archive campaign records under this directory (e.g. runs)")
-			fs.BoolVar(&progress, "progress", false, "log campaign progress to stderr")
-			fs.BoolVar(&timeline, "timeline", false, "with -runs: record per-job DPCS policy timelines (policy-<index>.jsonl)")
-			fs.BoolVar(&traceOn, "trace", false, "with -runs: record campaign trace spans (spans.jsonl, for pcs report -perfetto/-top)")
-			fs.StringVar(&cacheDir, "cache", "", "content-addressed result cache directory (memoizes study cells across runs)")
+			fs.StringVar(&camp.runsRoot, "runs", "", "archive campaign records under this directory (e.g. runs)")
+			fs.BoolVar(&camp.progress, "progress", false, "log campaign progress to stderr")
+			fs.BoolVar(&camp.timeline, "timeline", false, "with -runs: record per-job DPCS policy timelines (policy-<index>.jsonl)")
+			fs.BoolVar(&camp.trace, "trace", false, "with -runs: record campaign trace spans (spans.jsonl, for pcs report -perfetto/-top)")
+			fs.StringVar(&camp.cacheDir, "cache", "", "content-addressed result cache directory (memoizes study cells across runs)")
 			prof.register(fs)
 		},
 		Run: func(fs *flag.FlagSet) error {
@@ -108,7 +98,7 @@ func sweepCommand() *cli.Command {
 					seed = doc.Seed
 				}
 				if !set["workers"] && doc.Workers > 0 {
-					workers = doc.Workers
+					camp.workers = doc.Workers
 				}
 				if !set["mechanisms"] && len(doc.Sweep.Mechanisms) > 0 {
 					mechsCSV = strings.Join(doc.Sweep.Mechanisms, ",")
@@ -121,25 +111,8 @@ func sweepCommand() *cli.Command {
 			if len(selected) == 0 {
 				selected = expers.StudyNames()
 			}
-			if timeline && runsRoot == "" {
-				return fmt.Errorf("-timeline needs -runs (per-job timelines live next to the campaign records)")
-			}
-			if traceOn && runsRoot == "" {
-				return fmt.Errorf("-trace needs -runs (spans.jsonl lives next to the campaign records)")
-			}
-			cache, err := openCache(cacheDir)
-			if err != nil {
+			if err := camp.open(); err != nil {
 				return err
-			}
-			h := &sweepHarness{
-				reg:      expers.NewCampaignRegistry(),
-				workers:  workers,
-				jsonOut:  jsonOut,
-				runsRoot: runsRoot,
-				progress: progress,
-				timeline: timeline,
-				trace:    traceOn,
-				cache:    cache,
 			}
 			// Canonical order regardless of selection order.
 			for _, name := range expers.StudyNames() {
@@ -155,7 +128,7 @@ func sweepCommand() *cli.Command {
 				if err != nil {
 					return err
 				}
-				results, err := h.runCampaign(st.Name, seed, st.Jobs)
+				results, err := camp.runCampaign(st.Name, runner.Campaign{Name: st.Name, Seed: seed, Jobs: st.Jobs})
 				if err != nil {
 					return err
 				}
@@ -163,12 +136,11 @@ func sweepCommand() *cli.Command {
 				if err != nil {
 					return err
 				}
-				if err := h.emit(t); err != nil {
+				if err := renderTableJSON(t, jsonOut); err != nil {
 					return err
 				}
 			}
-			fmt.Fprintf(os.Stderr, "pcs sweep: %d cells: %d cached, %d computed, %d failed\n",
-				h.cells, h.cached, h.computed, h.failed)
+			camp.summary()
 			return nil
 		},
 	}
@@ -183,89 +155,10 @@ func contains(xs []string, want string) bool {
 	return false
 }
 
-// sweepHarness bundles the options shared by every study's campaign,
-// and accumulates the cell accounting for the end-of-run summary.
-type sweepHarness struct {
-	reg      *runner.Registry
-	workers  int
-	jsonOut  bool
-	runsRoot string
-	progress bool
-	timeline bool
-	trace    bool
-	cache    runner.ResultCache
-
-	cells, cached, computed, failed int
-}
-
-// emit renders a table in the selected output format.
-func (h *sweepHarness) emit(t *report.Table) error {
-	if h.jsonOut {
+// renderTableJSON writes one table as text or, with jsonOut, as JSON.
+func renderTableJSON(t *report.Table, jsonOut bool) error {
+	if jsonOut {
 		return t.RenderJSON(os.Stdout)
 	}
 	return t.Render(os.Stdout)
-}
-
-// runCampaign fans the jobs out across the worker pool and returns the
-// per-job results in job order, failing on any failed job.
-func (h *sweepHarness) runCampaign(name string, seed uint64, jobs []runner.Spec) ([]runner.JobResult, error) {
-	opts := runner.Options{Workers: h.workers, Cache: h.cache, CodeVersion: version.String()}
-	if h.runsRoot != "" {
-		dir, err := runner.NewRunDir(filepath.Join(h.runsRoot, name))
-		if err != nil {
-			return nil, err
-		}
-		opts.ArtifactDir = dir
-		opts.TraceSpans = h.trace
-	}
-	if h.progress {
-		opts.OnProgress = func(p runner.Progress) {
-			fmt.Fprintf(os.Stderr, "pcs sweep: %s: %d/%d done (%.1f jobs/s, ETA %s)\n",
-				name, p.Completed(), p.Total, p.JobsPerSec, p.ETA.Round(1e8))
-		}
-	}
-	// Per-job policy timelines: attach a JSONL sink to each job's
-	// context; the simulation kinds pick it up via
-	// obs.PolicySinkFromContext. Sinks are closed after the campaign so
-	// partial writes from a crashed run still flush what they can.
-	var (
-		sinkMu sync.Mutex
-		sinks  []*obs.JSONLSink
-	)
-	if h.timeline && opts.ArtifactDir != "" {
-		opts.JobContext = func(ctx context.Context, i int, _ runner.Spec) context.Context {
-			path := filepath.Join(opts.ArtifactDir, fmt.Sprintf("policy-%03d.jsonl", i))
-			sink, err := obs.CreateJSONL(path)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "pcs sweep: %s: job %d timeline: %v\n", name, i, err)
-				return ctx
-			}
-			sinkMu.Lock()
-			sinks = append(sinks, sink)
-			sinkMu.Unlock()
-			return obs.ContextWithPolicySink(ctx, sink)
-		}
-	}
-	res, err := runner.Run(context.Background(), h.reg, runner.Campaign{Name: name, Seed: seed, Jobs: jobs}, opts)
-	for _, sink := range sinks {
-		if cerr := sink.Close(); cerr != nil {
-			fmt.Fprintf(os.Stderr, "pcs sweep: %s: close timeline: %v\n", name, cerr)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	h.cells += len(res.Results)
-	h.cached += res.Cached
-	h.computed += res.Done - res.Cached
-	h.failed += res.Failed
-	for _, r := range res.Results {
-		if r.Status != runner.StatusDone {
-			return nil, fmt.Errorf("campaign %s: job %d (%s) %s: %s", name, r.Index, r.Name, r.Status, r.Error)
-		}
-	}
-	if res.ArtifactDir != "" {
-		fmt.Fprintf(os.Stderr, "pcs sweep: %s: records archived in %s\n", name, res.ArtifactDir)
-	}
-	return res.Results, nil
 }

@@ -131,14 +131,9 @@ func doReplay(path, config, modeName string, warmup, seed uint64) error {
 		return fmt.Errorf("warm-up %d exceeds trace length %d", warmup, total)
 	}
 
-	var cfg cpusim.SystemConfig
-	switch config {
-	case "A", "a":
-		cfg = cpusim.ConfigA()
-	case "B", "b":
-		cfg = cpusim.ConfigB()
-	default:
-		return fmt.Errorf("unknown config %q", config)
+	cfg, err := cpusim.ConfigByName(config)
+	if err != nil {
+		return err
 	}
 	var m core.Mode
 	switch modeName {

@@ -27,15 +27,15 @@ import (
 
 // Stats accumulates access statistics.
 type Stats struct {
-	Accesses   uint64 // total demand accesses
-	Hits       uint64
-	Misses     uint64
-	Reads      uint64
-	Writes     uint64
-	Writebacks uint64 // dirty evictions pushed to the next level
-	Fills      uint64 // blocks allocated
-	Bypasses   uint64 // accesses that found no usable frame
-	Invals     uint64 // blocks invalidated (transitions etc.)
+	Accesses   uint64 `json:"accesses"` // total demand accesses
+	Hits       uint64 `json:"hits"`
+	Misses     uint64 `json:"misses"`
+	Reads      uint64 `json:"reads"`
+	Writes     uint64 `json:"writes"`
+	Writebacks uint64 `json:"writebacks"` // dirty evictions pushed to the next level
+	Fills      uint64 `json:"fills"`      // blocks allocated
+	Bypasses   uint64 `json:"bypasses"`   // accesses that found no usable frame
+	Invals     uint64 `json:"invals"`     // blocks invalidated (transitions etc.)
 }
 
 // MissRate returns misses per access, or 0 with no accesses.

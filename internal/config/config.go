@@ -38,8 +38,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"strings"
 
+	"repro/internal/cpusim"
 	"repro/internal/expers"
 	"repro/internal/mechanism"
 	"repro/internal/runner"
@@ -248,17 +248,12 @@ func (d *Document) Validate() error {
 }
 
 // systemConfigs resolves a sim config selector to the configs to run.
-func systemConfigs(sel string) ([]string, error) {
-	switch strings.ToUpper(strings.TrimSpace(sel)) {
-	case "A":
-		return []string{"A"}, nil
-	case "B":
-		return []string{"B"}, nil
-	case "BOTH":
-		return []string{"A", "B"}, nil
-	default:
-		return nil, fmt.Errorf("config: unknown system config %q (want A, B or both)", sel)
+func systemConfigs(sel string) ([]cpusim.SystemConfig, error) {
+	cfgs, err := cpusim.ConfigsByName(sel)
+	if err != nil {
+		return nil, fmt.Errorf("config: %w", err)
 	}
+	return cfgs, nil
 }
 
 func validBench(name string) error {
@@ -322,10 +317,8 @@ func (s *SweepSpec) validate() error {
 }
 
 func (s *MulticoreSpec) validate() error {
-	switch strings.ToUpper(strings.TrimSpace(s.Config)) {
-	case "A", "B":
-	default:
-		return fmt.Errorf("config: unknown system config %q (want A or B)", s.Config)
+	if _, err := cpusim.ConfigByName(s.Config); err != nil {
+		return fmt.Errorf("config: %w", err)
 	}
 	if err := validBench(s.Bench); err != nil {
 		return err

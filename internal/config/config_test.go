@@ -219,8 +219,8 @@ func TestKnownKindsMatchRegistry(t *testing.T) {
 	}
 }
 
-// TestSimExpansion checks the Fig. 4 grid lowers to the historical
-// config × bench × mode job order with the master seed pinned.
+// TestSimExpansion checks the Fig. 4 grid lowers to fig4-cell jobs in the
+// historical config × bench × mode order with the master seed pinned.
 func TestSimExpansion(t *testing.T) {
 	d, err := Decode([]byte(`{"version":1,"seed":9,"sim":{"bench":"mcf.s","sim_instr":1000,"warmup_instr":100}}`), JSON)
 	if err != nil {
@@ -241,14 +241,14 @@ func TestSimExpansion(t *testing.T) {
 		t.Fatalf("jobs = %d, want %d", len(camp.Jobs), len(wantNames))
 	}
 	for i, j := range camp.Jobs {
-		if j.Name != wantNames[i] || j.Kind != "cpusim" {
-			t.Errorf("job %d = %s/%s, want cpusim/%s", i, j.Kind, j.Name, wantNames[i])
+		if j.Name != wantNames[i] || j.Kind != "fig4-cell" {
+			t.Errorf("job %d = %s/%s, want fig4-cell/%s", i, j.Kind, j.Name, wantNames[i])
 		}
-		var p expers.CPUSimParams
+		var p expers.Fig4CellParams
 		if err := json.Unmarshal(j.Params, &p); err != nil {
 			t.Fatal(err)
 		}
-		if p.Seed != 9 || p.SimInstr != 1000 || p.WarmupInstr != 100 {
+		if p.Seed != 9 || p.SimInstr != 1000 || p.WarmupInstr != 100 || p.Config.Name != wantNames[i][:1] {
 			t.Errorf("job %d params %+v", i, p)
 		}
 	}

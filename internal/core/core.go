@@ -51,6 +51,26 @@ func (m Mode) String() string {
 	}
 }
 
+// MarshalText encodes a mode by its name, so result documents read
+// "mode":"DPCS" rather than a bare enum value.
+func (m Mode) MarshalText() ([]byte, error) {
+	if m < Baseline || m > DPCS {
+		return nil, fmt.Errorf("core: cannot encode %v", m)
+	}
+	return []byte(m.String()), nil
+}
+
+// UnmarshalText decodes a mode name written by MarshalText.
+func (m *Mode) UnmarshalText(text []byte) error {
+	for _, c := range []Mode{Baseline, SPCS, DPCS} {
+		if string(text) == c.String() {
+			*m = c
+			return nil
+		}
+	}
+	return fmt.Errorf("core: unknown mode %q", text)
+}
+
 // TransitionResult reports what one voltage transition did.
 type TransitionResult struct {
 	// FromLevel and ToLevel are 1-based VDD levels.
@@ -347,10 +367,10 @@ func (ct *Controller) Transition(next int, now uint64, sink func(addr uint64)) T
 
 // EnergyReport summarises the controller's accumulated energy.
 type EnergyReport struct {
-	StaticJ     float64
-	DynamicJ    float64
-	TransitionJ float64
-	TotalJ      float64
+	StaticJ     float64 `json:"static_j"`
+	DynamicJ    float64 `json:"dynamic_j"`
+	TransitionJ float64 `json:"transition_j"`
+	TotalJ      float64 `json:"total_j"`
 }
 
 // Energy finalises static integration at cycle `now` and returns the

@@ -24,7 +24,9 @@ package cpusim
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"strings"
 
 	"repro/internal/cache"
 	"repro/internal/cacti"
@@ -121,6 +123,31 @@ func ConfigB() SystemConfig {
 	}
 }
 
+// ConfigByName resolves "A" or "B" (case-insensitive) to the paper's
+// system configuration of that name.
+func ConfigByName(name string) (SystemConfig, error) {
+	switch strings.ToUpper(strings.TrimSpace(name)) {
+	case "A":
+		return ConfigA(), nil
+	case "B":
+		return ConfigB(), nil
+	}
+	return SystemConfig{}, fmt.Errorf("unknown system config %q (want A or B)", name)
+}
+
+// ConfigsByName resolves a grid's configuration selector: "A", "B" or
+// "both" (A then B), case-insensitive.
+func ConfigsByName(sel string) ([]SystemConfig, error) {
+	if strings.EqualFold(strings.TrimSpace(sel), "both") {
+		return []SystemConfig{ConfigA(), ConfigB()}, nil
+	}
+	cfg, err := ConfigByName(sel)
+	if err != nil {
+		return nil, fmt.Errorf("unknown system config %q (want A, B or both)", sel)
+	}
+	return []SystemConfig{cfg}, nil
+}
+
 // RunOptions control one simulation.
 type RunOptions struct {
 	// WarmupInstr instructions run before measurement starts (the
@@ -149,32 +176,50 @@ func DefaultRunOptions() RunOptions {
 
 // CacheResult reports one cache's behaviour over the measured window.
 type CacheResult struct {
-	Name        string
-	Stats       cache.Stats
-	Energy      core.EnergyReport
-	AvgPowerW   float64
-	Transitions int
+	Name        string            `json:"name"`
+	Stats       cache.Stats       `json:"stats"`
+	Energy      core.EnergyReport `json:"energy"`
+	AvgPowerW   float64           `json:"avg_power_w"`
+	Transitions int               `json:"transitions"`
 	// LevelVolts and TimeAtLevelCycles describe where the controller
 	// spent its time (index 0 = lowest level).
-	LevelVolts        []float64
-	TimeAtLevelCycles []uint64
+	LevelVolts        []float64 `json:"level_volts"`
+	TimeAtLevelCycles []uint64  `json:"time_at_level_cycles"`
 }
 
-// Result is the outcome of one simulation run.
+// Result is the outcome of one simulation run, and the output document
+// of the "cpusim" and "fig4-cell" campaign kinds (internal/expers).
 type Result struct {
-	Workload string
-	Config   string
-	Mode     core.Mode
+	Workload string    `json:"workload"`
+	Config   string    `json:"config"`
+	Mode     core.Mode `json:"mode"`
 
-	Instructions uint64
-	Cycles       uint64
-	Seconds      float64
-	IPC          float64
+	Instructions uint64  `json:"instructions"`
+	Cycles       uint64  `json:"cycles"`
+	Seconds      float64 `json:"seconds"`
+	IPC          float64 `json:"ipc"`
 
-	L1I, L1D, L2 CacheResult
+	L1I CacheResult `json:"l1i"`
+	L1D CacheResult `json:"l1d"`
+	L2  CacheResult `json:"l2"`
 
 	// TotalCacheEnergyJ sums all three caches' energies.
-	TotalCacheEnergyJ float64
+	TotalCacheEnergyJ float64 `json:"total_cache_energy_j"`
+}
+
+// MarshalJSON writes the tagged fields plus "Cycles" and "Instructions"
+// copies of the two counts: the repository benchmark's per-layer report
+// (perfbench/layers.go) reads a fig4-cell's counts under those CamelCase
+// keys. Decoding needs no counterpart, because encoding/json folds both
+// copies onto the tagged fields, so strict decoding accepts them. Drop
+// the copies once that report reads the snake_case keys for both kinds.
+func (r Result) MarshalJSON() ([]byte, error) {
+	type tagged Result
+	return json.Marshal(struct {
+		tagged
+		CyclesCopy uint64 `json:"Cycles"`
+		InstrCopy  uint64 `json:"Instructions"`
+	}{tagged(r), r.Cycles, r.Instructions})
 }
 
 // level wires one cache's simulator state together.

@@ -1,6 +1,9 @@
 package cpusim
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -41,6 +44,70 @@ func TestConfigsMatchTable2(t *testing.T) {
 	}
 	if b.L1D.HitCycles != 3 || b.L2.HitCycles != 8 {
 		t.Error("Config B latencies")
+	}
+}
+
+func TestConfigsByName(t *testing.T) {
+	for sel, want := range map[string][]string{"A": {"A"}, " b": {"B"}, "Both": {"A", "B"}} {
+		cfgs, err := ConfigsByName(sel)
+		if err != nil {
+			t.Fatalf("%q: %v", sel, err)
+		}
+		var names []string
+		for _, c := range cfgs {
+			names = append(names, c.Name)
+		}
+		if !reflect.DeepEqual(names, want) {
+			t.Errorf("%q resolved to %v, want %v", sel, names, want)
+		}
+	}
+	for _, sel := range []string{"", "C", "AB"} {
+		if _, err := ConfigsByName(sel); err == nil {
+			t.Errorf("%q resolved", sel)
+		}
+	}
+	if _, err := ConfigByName("both"); err == nil {
+		t.Error(`ConfigByName accepted "both"`)
+	}
+}
+
+// TestResultJSON pins the output document: it decodes strictly back to
+// the same Result, and carries the counts under both the tagged keys
+// and the CamelCase copies the benchmark's per-layer report reads.
+func TestResultJSON(t *testing.T) {
+	r, err := Run(ConfigA(), core.DPCS, smallWorkload(), fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Result
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&back); err != nil {
+		t.Fatalf("strict decode: %v", err)
+	}
+	if !reflect.DeepEqual(back, r) {
+		t.Errorf("round trip changed the result:\n%+v\n%+v", back, r)
+	}
+	var counts struct {
+		Cycles       uint64 `json:"Cycles"`
+		Instructions uint64 `json:"Instructions"`
+		CyclesLC     uint64 `json:"cycles"`
+		InstrLC      uint64 `json:"instructions"`
+		Mode         string `json:"mode"`
+	}
+	if err := json.Unmarshal(data, &counts); err != nil {
+		t.Fatal(err)
+	}
+	if counts.Cycles != r.Cycles || counts.CyclesLC != r.Cycles ||
+		counts.Instructions != r.Instructions || counts.InstrLC != r.Instructions {
+		t.Errorf("counts %+v, want cycles %d and instructions %d under both keys", counts, r.Cycles, r.Instructions)
+	}
+	if counts.Mode != "DPCS" {
+		t.Errorf("mode serialised as %q", counts.Mode)
 	}
 }
 

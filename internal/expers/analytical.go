@@ -120,36 +120,6 @@ type Fig3aPoint struct {
 	PowerW   float64
 }
 
-// Fig3aData holds the three schemes' curves.
-type Fig3aData struct {
-	Proposed []Fig3aPoint
-	FFTCache []Fig3aPoint
-	WayGate  []Fig3aPoint
-}
-
-// fig3a computes Fig. 3a as a fixed-shape view over the registry-driven
-// default selection (see Fig3aMechs in mechanisms.go; the memoizing
-// Fig3a wrapper lives in memos.go).
-func fig3a(org cacti.Org, nLowVDDs int) (Fig3aData, *report.Table, error) {
-	sel, t, err := Fig3aMechs(org, nLowVDDs, nil)
-	if err != nil {
-		return Fig3aData{}, nil, err
-	}
-	d := Fig3aData{
-		Proposed: sel.Curve("proposed").Points(),
-		FFTCache: sel.Curve("fftcache").Points(),
-	}
-	for _, s := range sel.Steps {
-		if s.Name != "waygate" {
-			continue
-		}
-		for i := range s.Caps {
-			d.WayGate = append(d.WayGate, Fig3aPoint{Capacity: s.Caps[i], PowerW: s.Watts[i]})
-		}
-	}
-	return d, t, nil
-}
-
 // PowerAtCapacity interpolates a scheme's static power at a target
 // effective capacity from its (capacity, power) curve. Curves are
 // monotone in voltage; we scan for the bracketing pair.
@@ -184,44 +154,16 @@ func PowerAtCapacity(curve []Fig3aPoint, target float64) (float64, bool) {
 // FFT-Cache at the 99 % effective capacity point (the paper: 28.2 % with
 // three VDD levels, 17.8 % with two).
 func Fig3aGapAt99(org cacti.Org, nLowVDDs int) (gapFrac float64, err error) {
-	d, _, err := Fig3a(org, nLowVDDs)
+	d, _, err := Fig3aMechs(org, nLowVDDs, nil)
 	if err != nil {
 		return 0, err
 	}
-	pp, ok1 := PowerAtCapacity(d.Proposed, 0.99)
-	pf, ok2 := PowerAtCapacity(d.FFTCache, 0.99)
+	pp, ok1 := PowerAtCapacity(d.Curve("proposed").Points(), 0.99)
+	pf, ok2 := PowerAtCapacity(d.Curve("fftcache").Points(), 0.99)
 	if !ok1 || !ok2 {
 		return 0, fmt.Errorf("expers: 99%% capacity point not on curve")
 	}
 	return 1 - pp/pf, nil
-}
-
-// --- FIG3B: proportion of usable blocks vs VDD ---
-
-// Fig3bRow is one voltage sample of the capacity comparison.
-type Fig3bRow struct {
-	VDD      float64
-	Proposed float64
-	FFTCache float64
-}
-
-// fig3b computes Fig. 3b as a fixed-shape view over the registry-driven
-// default selection (see Fig3bMechs in mechanisms.go; the memoizing
-// Fig3b wrapper lives in memos.go).
-func fig3b(org cacti.Org) ([]Fig3bRow, *report.Table, error) {
-	curves, t, err := Fig3bMechs(org, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	prop, fft := curveByName(curves, "proposed"), curveByName(curves, "fftcache")
-	if prop == nil || fft == nil {
-		return nil, nil, fmt.Errorf("expers: default mechanism set misses proposed/fftcache")
-	}
-	var rows []Fig3bRow
-	for i, v := range prop.VDDs {
-		rows = append(rows, Fig3bRow{VDD: v, Proposed: prop.Capacity[i], FFTCache: fft.Capacity[i]})
-	}
-	return rows, t, nil
 }
 
 // --- FIG3C: leakage breakdown vs VDD ---
@@ -263,63 +205,6 @@ func fig3c(org cacti.Org) ([]Fig3cRow, *report.Table, error) {
 			fmt.Sprintf("%.3f", r.TotalW*1e3))
 	}
 	return rows, t, nil
-}
-
-// --- FIG3D: yield vs VDD across schemes ---
-
-// Fig3dRow is one voltage sample of the yield comparison.
-type Fig3dRow struct {
-	VDD          float64
-	Conventional float64
-	SECDED       float64
-	DECTED       float64
-	FFTCache     float64
-	Proposed     float64
-}
-
-// fig3d computes Fig. 3d as a fixed-shape view over the registry-driven
-// default selection (see Fig3dMechs in mechanisms.go; the memoizing
-// Fig3d wrapper lives in memos.go).
-func fig3d(org cacti.Org) ([]Fig3dRow, *report.Table, error) {
-	curves, t, err := Fig3dMechs(org, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	byName := map[string]*MechCurve{}
-	for _, c := range curves {
-		byName[c.Name] = c
-	}
-	for _, want := range []string{"conventional", "secded", "dected", "fftcache", "proposed"} {
-		if byName[want] == nil {
-			return nil, nil, fmt.Errorf("expers: default mechanism set misses %q", want)
-		}
-	}
-	var rows []Fig3dRow
-	for i, v := range byName["proposed"].VDDs {
-		rows = append(rows, Fig3dRow{
-			VDD:          v,
-			Conventional: byName["conventional"].Yield[i],
-			SECDED:       byName["secded"].Yield[i],
-			DECTED:       byName["dected"].Yield[i],
-			FFTCache:     byName["fftcache"].Yield[i],
-			Proposed:     byName["proposed"].Yield[i],
-		})
-	}
-	return rows, t, nil
-}
-
-// MinVDDRow summarises each scheme's min-VDD at 99 % yield for one org.
-type MinVDDRow struct {
-	Scheme string
-	MinVDD float64
-	OK     bool
-}
-
-// minVDDs computes the min-VDD table for the registry's default
-// selection (see MinVDDMechs in mechanisms.go; the memoizing MinVDDs
-// wrapper lives in memos.go).
-func minVDDs(org cacti.Org) ([]MinVDDRow, *report.Table, error) {
-	return MinVDDMechs(org, nil)
 }
 
 // --- TAB-AREA: area overheads ---

@@ -29,20 +29,36 @@ func TestFig2Shape(t *testing.T) {
 	}
 }
 
+// stepPoints converts a discrete step curve to Fig. 3a samples.
+func stepPoints(s MechStepCurve) []Fig3aPoint {
+	pts := make([]Fig3aPoint, len(s.Caps))
+	for i := range s.Caps {
+		pts[i] = Fig3aPoint{Capacity: s.Caps[i], PowerW: s.Watts[i]}
+	}
+	return pts
+}
+
 func TestFig3aProposedDominates(t *testing.T) {
-	d, tbl, err := Fig3a(L1ConfigA(), 2)
+	d, tbl, err := Fig3aMechs(L1ConfigA(), 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl == nil || len(d.Proposed) != 71 || len(d.WayGate) != 5 {
+	proposed, fft := d.Curve("proposed").Points(), d.Curve("fftcache").Points()
+	var wayGate []Fig3aPoint
+	for _, s := range d.Steps {
+		if s.Name == "waygate" {
+			wayGate = stepPoints(s)
+		}
+	}
+	if tbl == nil || len(proposed) != 71 || len(wayGate) != 5 {
 		t.Fatal("curve shapes")
 	}
 	// At every achievable capacity >= 50%, proposed must beat both
 	// baselines (the paper's headline Fig. 3a claim).
 	for _, target := range []float64{0.5, 0.7, 0.9, 0.95, 0.99, 0.999} {
-		pp, ok1 := PowerAtCapacity(d.Proposed, target)
-		pf, ok2 := PowerAtCapacity(d.FFTCache, target)
-		pw, ok3 := PowerAtCapacity(d.WayGate, target)
+		pp, ok1 := PowerAtCapacity(proposed, target)
+		pf, ok2 := PowerAtCapacity(fft, target)
+		pw, ok3 := PowerAtCapacity(wayGate, target)
 		if !ok1 {
 			t.Fatalf("proposed curve misses capacity %v", target)
 		}
@@ -78,16 +94,20 @@ func TestFig3aGapMatchesPaper(t *testing.T) {
 }
 
 func TestFig3bFFTDominates(t *testing.T) {
-	rows, _, err := Fig3b(L1ConfigA())
+	curves, _, err := Fig3bMechs(L1ConfigA(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range rows {
-		if r.VDD < 0.42 {
+	prop, fft := curveByName(curves, "proposed"), curveByName(curves, "fftcache")
+	if prop == nil || fft == nil {
+		t.Fatal("default set misses proposed/fftcache")
+	}
+	for i, v := range prop.VDDs {
+		if v < 0.42 {
 			continue // below FFT's saturation cliff
 		}
-		if r.FFTCache < r.Proposed-1e-9 {
-			t.Errorf("FFT capacity below proposed at %v V", r.VDD)
+		if fft.Capacity[i] < prop.Capacity[i]-1e-9 {
+			t.Errorf("FFT capacity below proposed at %v V", v)
 		}
 	}
 }
@@ -112,31 +132,42 @@ func TestFig3cDecomposition(t *testing.T) {
 }
 
 func TestFig3dOrdering(t *testing.T) {
-	rows, _, err := Fig3d(L1ConfigA())
+	curves, _, err := Fig3dMechs(L1ConfigA(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range rows {
+	yield := map[string][]float64{}
+	for _, c := range curves {
+		yield[c.Name] = c.Yield
+	}
+	names := []string{"conventional", "secded", "dected", "fftcache", "proposed"}
+	for _, n := range names {
+		if len(yield[n]) != 71 {
+			t.Fatalf("%s yield curve has %d points, want 71", n, len(yield[n]))
+		}
+	}
+	conv, secded, dected, prop := yield["conventional"], yield["secded"], yield["dected"], yield["proposed"]
+	for i, v := range curves[0].VDDs {
 		// Conventional is always the weakest; SECDED <= DECTED.
-		if r.Conventional > r.SECDED+1e-9 || r.SECDED > r.DECTED+1e-9 {
-			t.Fatalf("ECC ordering violated at %v V", r.VDD)
+		if conv[i] > secded[i]+1e-9 || secded[i] > dected[i]+1e-9 {
+			t.Fatalf("ECC ordering violated at %v V", v)
 		}
 		// Proposed beats SECDED throughout the operating region (the
 		// min-VDD comparison lives in TestMinVDDsOrdering; far below
 		// both schemes' min-VDD the yield curves may cross).
-		if r.VDD >= 0.50 && r.Proposed < r.SECDED-1e-9 {
-			t.Fatalf("proposed below SECDED at %v V", r.VDD)
+		if v >= 0.50 && prop[i] < secded[i]-1e-9 {
+			t.Fatalf("proposed below SECDED at %v V", v)
 		}
-		for _, y := range []float64{r.Conventional, r.SECDED, r.DECTED, r.FFTCache, r.Proposed} {
-			if y < 0 || y > 1 {
-				t.Fatalf("yield out of range at %v V", r.VDD)
+		for _, n := range names {
+			if y := yield[n][i]; y < 0 || y > 1 {
+				t.Fatalf("%s yield out of range at %v V", n, v)
 			}
 		}
 	}
 }
 
 func TestMinVDDsOrdering(t *testing.T) {
-	rows, _, err := MinVDDs(L1ConfigA())
+	rows, _, err := MinVDDMechs(L1ConfigA(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,10 +120,11 @@ func TestAnalyticalSteadyStateAllocs(t *testing.T) {
 	funcs := map[string]func() error{
 		"Fig2":           func() error { _, _ = Fig2(); return nil },
 		"Fig3aGapAt99":   func() error { _, err := Fig3aGapAt99(org, 2); return err },
-		"Fig3b":          func() error { _, _, err := Fig3b(org); return err },
+		"Fig3aMechs":     func() error { _, _, err := Fig3aMechs(org, 2, nil); return err },
+		"Fig3bMechs":     func() error { _, _, err := Fig3bMechs(org, nil); return err },
 		"Fig3c":          func() error { _, _, err := Fig3c(org); return err },
-		"Fig3d":          func() error { _, _, err := Fig3d(org); return err },
-		"MinVDDs":        func() error { _, _, err := MinVDDs(org); return err },
+		"Fig3dMechs":     func() error { _, _, err := Fig3dMechs(org, nil); return err },
+		"MinVDDMechs":    func() error { _, _, err := MinVDDMechs(org, nil); return err },
 		"AreaOverheads":  func() error { _, _, err := AreaOverheads(); return err },
 		"VDDPlans":       func() error { _, _, err := VDDPlans(); return err },
 		"CellComparison": func() error { _, _, err := CellComparison(); return err },

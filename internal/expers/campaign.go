@@ -1,6 +1,7 @@
 package expers
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -30,7 +31,8 @@ import (
 
 // RegisterCampaignKinds installs the standard kinds on reg:
 //
-//	cpusim     one single-core simulation (CPUSimParams → CPUSimOutput)
+//	cpusim     one single-core simulation of a canned config
+//	           (CPUSimParams → cpusim.Result)
 //	multicore  one multi-core simulation (MulticoreParams → MulticoreOutput)
 //	minvdd     analytical min-VDD for a cache geometry (MinVDDParams → MinVDDOutput)
 //	mechminvdd analytical summary of one registered fault-tolerance
@@ -44,15 +46,22 @@ import (
 //	fig4-cell  one workload×mode cell of the Fig. 4 grid with its full
 //	           SystemConfig embedded (Fig4CellParams → cpusim.Result)
 //
+// The two simulation kinds share one run body (runSimCell) and one
+// output schema, so both honour the context PolicySink and both report
+// total_cache_energy_j.
+//
 // Every kind carries cache metadata (runner.KindInfo): the decoder
 // reconstructs the kind's concrete output type from a stored result
 // document, so content-addressed cache hits are indistinguishable from
-// computed results to downstream type assertions; Seeded marks the
+// computed results to downstream type assertions. It rejects unknown
+// fields, so an entry written under an older output schema (which a
+// "<rev>-dirty" build can meet under an unchanged code version) is
+// recomputed instead of decoding to zeros; Seeded marks the
 // kinds whose output actually depends on the seed, so the analytical
 // kinds share cache entries across campaigns with different master
 // seeds.
 func RegisterCampaignKinds(reg *runner.Registry) {
-	reg.MustRegisterKind("cpusim", runCPUSimJob, kindInfo[CPUSimOutput](true))
+	reg.MustRegisterKind("cpusim", runCPUSimJob, kindInfo[cpusim.Result](true))
 	// multicore keeps the L2 host and every core's system live at
 	// once, which the arena's build-invalidates-previous contract
 	// forbids; it runs arena-less and still gets the memoized statics
@@ -78,7 +87,9 @@ func kindInfo[T any](seeded bool) runner.KindInfo {
 		NewWorkerState: func() any { return NewCellArena() },
 		DecodeOutput: func(data []byte) (any, error) {
 			var out T
-			if err := json.Unmarshal(data, &out); err != nil {
+			dec := json.NewDecoder(bytes.NewReader(data))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&out); err != nil {
 				return nil, fmt.Errorf("expers: decode cached output: %w", err)
 			}
 			return out, nil
@@ -94,16 +105,16 @@ func NewCampaignRegistry() *runner.Registry {
 	return reg
 }
 
-// systemConfigByName resolves "A"/"B" (case-insensitive).
+// systemConfigByName resolves "A"/"B" (case-insensitive); empty means A.
 func systemConfigByName(name string) (cpusim.SystemConfig, error) {
-	switch strings.ToUpper(strings.TrimSpace(name)) {
-	case "", "A":
+	if strings.TrimSpace(name) == "" {
 		return cpusim.ConfigA(), nil
-	case "B":
-		return cpusim.ConfigB(), nil
-	default:
-		return cpusim.SystemConfig{}, fmt.Errorf("expers: unknown system config %q (want A or B)", name)
 	}
+	cfg, err := cpusim.ConfigByName(name)
+	if err != nil {
+		return cpusim.SystemConfig{}, fmt.Errorf("expers: %w", err)
+	}
+	return cfg, nil
 }
 
 // modeByName resolves a policy mode name (case-insensitive) through
@@ -164,29 +175,6 @@ func (p *CPUSimParams) Validate() error {
 	return nil
 }
 
-// CPUSimOutput is the deterministic record of one "cpusim" job.
-type CPUSimOutput struct {
-	Workload          string  `json:"workload"`
-	Config            string  `json:"config"`
-	Mode              string  `json:"mode"`
-	Instructions      uint64  `json:"instructions"`
-	Cycles            uint64  `json:"cycles"`
-	IPC               float64 `json:"ipc"`
-	L1IEnergyJ        float64 `json:"l1i_energy_j"`
-	L1DEnergyJ        float64 `json:"l1d_energy_j"`
-	L2EnergyJ         float64 `json:"l2_energy_j"`
-	TotalCacheEnergyJ float64 `json:"total_cache_energy_j"`
-	L2Transitions     int     `json:"l2_transitions"`
-}
-
-// ResourceCounts implements obs.ResourceCounter. The output document
-// records L2 transitions only (its schema predates attribution), so
-// writebacks report zero; fig4-cell jobs return cpusim.Result, which
-// carries the full counts.
-func (o CPUSimOutput) ResourceCounts() (transitions int, writebacks uint64) {
-	return o.L2Transitions, 0
-}
-
 func runCPUSimJob(ctx context.Context, seed uint64, params json.RawMessage) (any, error) {
 	var p CPUSimParams
 	if err := decodeParams(params, &p); err != nil {
@@ -197,8 +185,6 @@ func runCPUSimJob(ctx context.Context, seed uint64, params json.RawMessage) (any
 		return nil, err
 	}
 	cfg, _ := systemConfigByName(p.Config)
-	mode, _ := modeByName(p.Mode)
-	w, _ := trace.ByName(p.Bench)
 	if p.L2Interval > 0 {
 		cfg.L2.Interval = p.L2Interval
 	}
@@ -211,34 +197,25 @@ func runCPUSimJob(ctx context.Context, seed uint64, params json.RawMessage) (any
 	if p.Seed != 0 {
 		seed = p.Seed
 	}
-	opts := cpusim.RunOptions{
-		WarmupInstr: p.WarmupInstr,
-		SimInstr:    p.SimInstr,
+	return runSimCell(ctx, cfg, p.Mode, p.Bench, p.WarmupInstr, p.SimInstr, seed)
+}
+
+// runSimCell is the run body of both simulation kinds: one validated
+// workload × mode simulation on a full SystemConfig.
+func runSimCell(ctx context.Context, cfg cpusim.SystemConfig, modeName, bench string, warmup, instr, seed uint64) (any, error) {
+	mode, _ := modeByName(modeName)
+	w, _ := trace.ByName(bench)
+	return cpusim.RunContext(ctx, cfg, mode, w, cpusim.RunOptions{
+		WarmupInstr: warmup,
+		SimInstr:    instr,
 		Seed:        seed,
-		// Per-job telemetry: the runner (pcs-sweep -timeline) attaches a
+		// Per-job telemetry: the runner (pcs sweep -timeline) attaches a
 		// sink to the job context rather than to the parameter document,
 		// which must stay deterministic.
 		Sink: obs.PolicySinkFromContext(ctx),
 		// Warm path: reuse this worker's simulation arena (nil when cold).
 		Arena: arenaFromContext(ctx).simArena(),
-	}
-	r, err := cpusim.RunContext(ctx, cfg, mode, w, opts)
-	if err != nil {
-		return nil, err
-	}
-	return CPUSimOutput{
-		Workload:          r.Workload,
-		Config:            r.Config,
-		Mode:              r.Mode.String(),
-		Instructions:      r.Instructions,
-		Cycles:            r.Cycles,
-		IPC:               r.IPC,
-		L1IEnergyJ:        r.L1I.Energy.TotalJ,
-		L1DEnergyJ:        r.L1D.Energy.TotalJ,
-		L2EnergyJ:         r.L2.Energy.TotalJ,
-		TotalCacheEnergyJ: r.TotalCacheEnergyJ,
-		L2Transitions:     r.L2.Transitions,
-	}, nil
+	})
 }
 
 // MulticoreParams parameterise one "multicore" job.
@@ -309,7 +286,7 @@ type MulticoreOutput struct {
 }
 
 // ResourceCounts implements obs.ResourceCounter (writebacks are not in
-// this output schema; see CPUSimOutput.ResourceCounts).
+// this output schema).
 func (o MulticoreOutput) ResourceCounts() (transitions int, writebacks uint64) {
 	return o.L2Transitions, 0
 }

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/cpusim"
 	"repro/internal/faultmodel"
 	"repro/internal/runner"
 	"repro/internal/sram"
@@ -158,7 +159,7 @@ func TestSimCampaignUnderRace(t *testing.T) {
 		t.Fatalf("done=%d failed=%d cancelled=%d", res.Done, res.Failed, res.Cancelled)
 	}
 	for _, r := range res.Results {
-		out := r.Output.(CPUSimOutput)
+		out := r.Output.(cpusim.Result)
 		if out.Cycles == 0 || out.TotalCacheEnergyJ <= 0 {
 			t.Fatalf("job %d implausible output %+v", r.Index, out)
 		}

@@ -14,9 +14,8 @@ import (
 // This file is the registry-driven side of the Fig. 3 comparisons:
 // every mechanism registered in internal/mechanism gets per-voltage
 // curves, dynamic table columns, a min-VDD row and an area-overhead row
-// — for any selection of mechanisms. The legacy fixed-shape functions
-// (Fig3a/Fig3b/Fig3d/MinVDDs in analytical.go) are views over the
-// default selection, so the golden tables stay byte-identical while
+// — for any selection of mechanisms. The nil selection is the paper's
+// default set, which renders the golden analytical tables, while
 // `-mechanisms tscache,l2c2,proposed` renders the same table shapes for
 // any competitor set.
 
@@ -35,6 +34,33 @@ func (cs *CacheSetup) MechanismSetup(nLowVDDs int) mechanism.Setup {
 // rank order; nil/empty means the paper's default comparison set.
 func ResolveMechanisms(names []string) ([]mechanism.Descriptor, error) {
 	return mechanism.Resolve(names)
+}
+
+// resolvedSel is a resolved selection with its memo digest.
+type resolvedSel struct {
+	ds     []mechanism.Descriptor
+	digest string
+}
+
+// defaultSelKey memoizes the resolved default selection, so a nil
+// selection (every golden table) costs one memo lookup per call rather
+// than a registry resolution.
+type defaultSelKey struct{}
+
+// resolveSel resolves a selection to its descriptors and memo digest.
+func resolveSel(names []string) ([]mechanism.Descriptor, string, error) {
+	if len(names) == 0 {
+		v, err := memo.Get(memos.Load(), defaultSelKey{}, func() (resolvedSel, error) {
+			ds, err := ResolveMechanisms(nil)
+			return resolvedSel{ds: ds, digest: selDigest(ds)}, err
+		})
+		return v.ds, v.digest, err
+	}
+	ds, err := ResolveMechanisms(names)
+	if err != nil {
+		return nil, "", err
+	}
+	return ds, selDigest(ds), nil
 }
 
 // selDigest is the canonical memo identity of a resolved selection.
@@ -201,11 +227,11 @@ func curveByName(cs []*MechCurve, name string) *MechCurve {
 // nLowVDDs configures how many low-voltage levels map-carrying schemes
 // pay for (2 reproduces the paper's three-level comparison).
 func Fig3aMechs(org cacti.Org, nLowVDDs int, names []string) (Fig3aSelData, *report.Table, error) {
-	ds, err := ResolveMechanisms(names)
+	ds, sel, err := resolveSel(names)
 	if err != nil {
 		return Fig3aSelData{}, nil, err
 	}
-	key := fig3aMechsKey{org: org, nLowVDDs: nLowVDDs, sel: selDigest(ds)}
+	key := fig3aMechsKey{org: org, nLowVDDs: nLowVDDs, sel: sel}
 	v, err := memo.Get(memos.Load(), key, func() (rowsAndTable[Fig3aSelData], error) {
 		data := Fig3aSelData{Org: org.Name}
 		for _, d := range scalersOf(ds) {
@@ -249,11 +275,11 @@ func Fig3aMechs(org cacti.Org, nLowVDDs int, names []string) (Fig3aSelData, *rep
 // Fig3bMechs renders Fig. 3b — proportion of usable blocks vs VDD —
 // for any mechanism selection (nil = default set).
 func Fig3bMechs(org cacti.Org, names []string) ([]*MechCurve, *report.Table, error) {
-	ds, err := ResolveMechanisms(names)
+	ds, sel, err := resolveSel(names)
 	if err != nil {
 		return nil, nil, err
 	}
-	key := fig3bMechsKey{org: org, sel: selDigest(ds)}
+	key := fig3bMechsKey{org: org, sel: sel}
 	v, err := memo.Get(memos.Load(), key, func() (rowsAndTable[[]*MechCurve], error) {
 		var curves []*MechCurve
 		for _, d := range scalersOf(ds) {
@@ -285,11 +311,11 @@ func Fig3bMechs(org cacti.Org, names []string) ([]*MechCurve, *report.Table, err
 // Fig3dMechs renders Fig. 3d — yield vs VDD — for any mechanism
 // selection (nil = default set), weakest scheme first.
 func Fig3dMechs(org cacti.Org, names []string) ([]*MechCurve, *report.Table, error) {
-	ds, err := ResolveMechanisms(names)
+	ds, sel, err := resolveSel(names)
 	if err != nil {
 		return nil, nil, err
 	}
-	key := fig3dMechsKey{org: org, sel: selDigest(ds)}
+	key := fig3dMechsKey{org: org, sel: sel}
 	v, err := memo.Get(memos.Load(), key, func() (rowsAndTable[[]*MechCurve], error) {
 		var curves []*MechCurve
 		for _, d := range yieldersOf(ds) {
@@ -318,14 +344,21 @@ func Fig3dMechs(org cacti.Org, names []string) ([]*MechCurve, *report.Table, err
 	return v.rows, v.t, err
 }
 
+// MinVDDRow summarises one scheme's min-VDD at 99 % yield for one org.
+type MinVDDRow struct {
+	Scheme string
+	MinVDD float64
+	OK     bool
+}
+
 // MinVDDMechs computes each selected mechanism's minimum voltage at
 // 99 % yield (nil = default set), weakest scheme first.
 func MinVDDMechs(org cacti.Org, names []string) ([]MinVDDRow, *report.Table, error) {
-	ds, err := ResolveMechanisms(names)
+	ds, sel, err := resolveSel(names)
 	if err != nil {
 		return nil, nil, err
 	}
-	key := minVDDMechsKey{org: org, sel: selDigest(ds)}
+	key := minVDDMechsKey{org: org, sel: sel}
 	v, err := memo.Get(memos.Load(), key, func() (rowsAndTable[[]MinVDDRow], error) {
 		rows := []MinVDDRow{}
 		for _, d := range yieldersOf(ds) {
@@ -359,11 +392,11 @@ type MechAreaRow struct {
 // MechanismAreas reports each selected mechanism's area overhead on the
 // organisation (nil = default set), in rank order.
 func MechanismAreas(org cacti.Org, names []string) ([]MechAreaRow, *report.Table, error) {
-	ds, err := ResolveMechanisms(names)
+	ds, sel, err := resolveSel(names)
 	if err != nil {
 		return nil, nil, err
 	}
-	key := mechAreasKey{org: org, sel: selDigest(ds)}
+	key := mechAreasKey{org: org, sel: sel}
 	v, err := memo.Get(memos.Load(), key, func() (rowsAndTable[[]MechAreaRow], error) {
 		var rows []MechAreaRow
 		t := report.NewTable(fmt.Sprintf("Mechanism area overheads (%s)", org.Name),
@@ -387,11 +420,11 @@ func MechanismAreas(org cacti.Org, names []string) ([]MechAreaRow, *report.Table
 // rank order. Mechanisms without extra tables contribute nothing — the
 // default set contributes none, keeping the golden output untouched.
 func MechanismTables(org cacti.Org, names []string) ([]*report.Table, error) {
-	ds, err := ResolveMechanisms(names)
+	ds, sel, err := resolveSel(names)
 	if err != nil {
 		return nil, err
 	}
-	key := mechTablesKey{org: org, sel: selDigest(ds)}
+	key := mechTablesKey{org: org, sel: sel}
 	v, err := memo.Get(memos.Load(), key, func() ([]*report.Table, error) {
 		var tables []*report.Table
 		for _, d := range ds {

@@ -131,54 +131,66 @@ func TestMechStudyCoversRegistry(t *testing.T) {
 	}
 }
 
-// TestDefaultSelectionMatchesLegacy pins the registry-driven tables for
-// an explicit default-set selection to the legacy fixed-shape tables
-// the golden analytical output is generated from.
-func TestDefaultSelectionMatchesLegacy(t *testing.T) {
+// TestNilSelectionIsDefaultSet pins the nil selection, which renders
+// the golden analytical tables, to an explicit selection of the
+// registry's default set: both must produce equal tables.
+func TestNilSelectionIsDefaultSet(t *testing.T) {
 	org := L1ConfigA()
 	defaults := mechanism.DefaultNames()
 
-	_, legacy3a, err := Fig3a(org, 2)
+	_, nil3a, err := Fig3aMechs(org, 2, nil)
 	if err != nil {
-		t.Fatalf("Fig3a: %v", err)
+		t.Fatalf("Fig3aMechs(nil): %v", err)
 	}
 	_, sel3a, err := Fig3aMechs(org, 2, defaults)
 	if err != nil {
 		t.Fatalf("Fig3aMechs(defaults): %v", err)
 	}
-	if !reflect.DeepEqual(legacy3a, sel3a) {
-		t.Errorf("Fig. 3a tables differ:\nlegacy  %v\ndefault %v", legacy3a.Headers, sel3a.Headers)
+	if !reflect.DeepEqual(nil3a, sel3a) {
+		t.Errorf("Fig. 3a tables differ:\nnil     %v\ndefault %v", nil3a.Headers, sel3a.Headers)
 	}
 
-	_, legacy3d, err := Fig3d(org)
+	_, nil3b, err := Fig3bMechs(org, nil)
 	if err != nil {
-		t.Fatalf("Fig3d: %v", err)
+		t.Fatalf("Fig3bMechs(nil): %v", err)
+	}
+	_, sel3b, err := Fig3bMechs(org, defaults)
+	if err != nil {
+		t.Fatalf("Fig3bMechs(defaults): %v", err)
+	}
+	if !reflect.DeepEqual(nil3b, sel3b) {
+		t.Errorf("Fig. 3b tables differ:\nnil     %v\ndefault %v", nil3b.Headers, sel3b.Headers)
+	}
+
+	_, nil3d, err := Fig3dMechs(org, nil)
+	if err != nil {
+		t.Fatalf("Fig3dMechs(nil): %v", err)
 	}
 	_, sel3d, err := Fig3dMechs(org, defaults)
 	if err != nil {
 		t.Fatalf("Fig3dMechs(defaults): %v", err)
 	}
-	if !reflect.DeepEqual(legacy3d, sel3d) {
-		t.Errorf("Fig. 3d tables differ:\nlegacy  %v\ndefault %v", legacy3d.Headers, sel3d.Headers)
+	if !reflect.DeepEqual(nil3d, sel3d) {
+		t.Errorf("Fig. 3d tables differ:\nnil     %v\ndefault %v", nil3d.Headers, sel3d.Headers)
 	}
 
-	_, legacyMin, err := MinVDDs(org)
+	_, nilMin, err := MinVDDMechs(org, nil)
 	if err != nil {
-		t.Fatalf("MinVDDs: %v", err)
+		t.Fatalf("MinVDDMechs(nil): %v", err)
 	}
 	_, selMin, err := MinVDDMechs(org, defaults)
 	if err != nil {
 		t.Fatalf("MinVDDMechs(defaults): %v", err)
 	}
-	if !reflect.DeepEqual(legacyMin, selMin) {
-		t.Errorf("min-VDD tables differ:\nlegacy  %v\ndefault %v", legacyMin.Rows, selMin.Rows)
+	if !reflect.DeepEqual(nilMin, selMin) {
+		t.Errorf("min-VDD tables differ:\nnil     %v\ndefault %v", nilMin.Rows, selMin.Rows)
 	}
 
 	// The default set contributes no scheme-specific extra tables, so
 	// the golden fig3d section cannot grow.
-	extra, err := MechanismTables(org, defaults)
+	extra, err := MechanismTables(org, nil)
 	if err != nil {
-		t.Fatalf("MechanismTables(defaults): %v", err)
+		t.Fatalf("MechanismTables(nil): %v", err)
 	}
 	if len(extra) != 0 {
 		t.Errorf("default set has %d extra tables, want 0 (golden output would change)", len(extra))

@@ -44,17 +44,10 @@ type (
 	faultModelKey struct{ geom faultmodel.Geometry }
 	levelPlanKey  struct{ org cacti.Org }
 	fig2Key       struct{}
-	fig3aKey      struct {
-		org      cacti.Org
-		nLowVDDs int
-	}
-	fig3bKey    struct{ org cacti.Org }
-	fig3cKey    struct{ org cacti.Org }
-	fig3dKey    struct{ org cacti.Org }
-	minVDDsKey  struct{ org cacti.Org }
-	areaKey     struct{ digest string }
-	vddPlansKey struct{}
-	cellsKey    struct{ digest string }
+	fig3cKey      struct{ org cacti.Org }
+	areaKey       struct{ digest string }
+	vddPlansKey   struct{}
+	cellsKey      struct{ digest string }
 )
 
 // orgsDigest canonically identifies a list of cache organisations, so
@@ -123,53 +116,12 @@ func Fig2() ([]Fig2Point, *report.Table) {
 	return v.rows, v.t
 }
 
-// Fig3a regenerates Fig. 3's power/effective-capacity comparison for the
-// given organisation (the paper shows L1 Config A; others behave alike).
-// nLowVDDs configures how many low-voltage levels FFT-Cache must carry
-// fault maps for (2 reproduces the paper's 3-level comparison).
-func Fig3a(org cacti.Org, nLowVDDs int) (Fig3aData, *report.Table, error) {
-	v, err := memo.Get(memos.Load(), fig3aKey{org: org, nLowVDDs: nLowVDDs}, func() (rowsAndTable[Fig3aData], error) {
-		d, t, err := fig3a(org, nLowVDDs)
-		return rowsAndTable[Fig3aData]{rows: d, t: t}, err
-	})
-	return v.rows, v.t, err
-}
-
-// Fig3b regenerates the usable-blocks comparison of Fig. 3.
-func Fig3b(org cacti.Org) ([]Fig3bRow, *report.Table, error) {
-	v, err := memo.Get(memos.Load(), fig3bKey{org: org}, func() (rowsAndTable[[]Fig3bRow], error) {
-		rows, t, err := fig3b(org)
-		return rowsAndTable[[]Fig3bRow]{rows: rows, t: t}, err
-	})
-	return v.rows, v.t, err
-}
-
 // Fig3c regenerates the leakage breakdown of Fig. 3 for the proposed
 // mechanism (faulty blocks gated as capacity shrinks).
 func Fig3c(org cacti.Org) ([]Fig3cRow, *report.Table, error) {
 	v, err := memo.Get(memos.Load(), fig3cKey{org: org}, func() (rowsAndTable[[]Fig3cRow], error) {
 		rows, t, err := fig3c(org)
 		return rowsAndTable[[]Fig3cRow]{rows: rows, t: t}, err
-	})
-	return v.rows, v.t, err
-}
-
-// Fig3d regenerates the yield-vs-VDD comparison of Fig. 3: a baseline
-// with no fault tolerance, SECDED and DECTED at 2-byte subblocks,
-// FFT-Cache, and the proposed mechanism.
-func Fig3d(org cacti.Org) ([]Fig3dRow, *report.Table, error) {
-	v, err := memo.Get(memos.Load(), fig3dKey{org: org}, func() (rowsAndTable[[]Fig3dRow], error) {
-		rows, t, err := fig3d(org)
-		return rowsAndTable[[]Fig3dRow]{rows: rows, t: t}, err
-	})
-	return v.rows, v.t, err
-}
-
-// MinVDDs computes each scheme's minimum voltage at 99 % yield.
-func MinVDDs(org cacti.Org) ([]MinVDDRow, *report.Table, error) {
-	v, err := memo.Get(memos.Load(), minVDDsKey{org: org}, func() (rowsAndTable[[]MinVDDRow], error) {
-		rows, t, err := minVDDs(org)
-		return rowsAndTable[[]MinVDDRow]{rows: rows, t: t}, err
 	})
 	return v.rows, v.t, err
 }

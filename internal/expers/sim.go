@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 
 	"repro/internal/core"
 	"repro/internal/cpusim"
@@ -54,34 +53,6 @@ type Fig4Data struct {
 	Rows   []Fig4Row
 }
 
-// Fig4 runs the 16-benchmark suite under baseline, SPCS and DPCS for the
-// given configuration. Progress lines go to progress when non-nil.
-func Fig4(cfg cpusim.SystemConfig, opts cpusim.RunOptions, progress io.Writer) (Fig4Data, error) {
-	data := Fig4Data{Config: cfg.Name}
-	for _, w := range trace.Suite() {
-		row := Fig4Row{Workload: w.Name}
-		for _, mode := range []core.Mode{core.Baseline, core.SPCS, core.DPCS} {
-			res, err := cpusim.Run(cfg, mode, w, opts)
-			if err != nil {
-				return Fig4Data{}, fmt.Errorf("expers: %s/%s/%v: %w", cfg.Name, w.Name, mode, err)
-			}
-			switch mode {
-			case core.Baseline:
-				row.Baseline = res
-			case core.SPCS:
-				row.SPCS = res
-			case core.DPCS:
-				row.DPCS = res
-			}
-			if progress != nil {
-				fmt.Fprintf(progress, "  %s\n", res)
-			}
-		}
-		data.Rows = append(data.Rows, row)
-	}
-	return data, nil
-}
-
 // Fig4CellParams parameterise one "fig4-cell" job: a single
 // workload × mode cell of the Fig. 4 grid. Unlike CPUSimParams (which
 // names a canned config), the cell embeds its full SystemConfig, so the
@@ -98,7 +69,7 @@ type Fig4CellParams struct {
 }
 
 // ApplyDefaults is a no-op: fig4-cell documents are machine-written by
-// Fig4Grid and fully explicit, including the embedded SystemConfig.
+// Fig4CellJobs and fully explicit, including the embedded SystemConfig.
 func (p *Fig4CellParams) ApplyDefaults() {}
 
 // Validate checks the cell document is runnable.
@@ -115,87 +86,31 @@ func (p *Fig4CellParams) Validate() error {
 	return nil
 }
 
-// runFig4CellJob executes one grid cell, returning the full
-// cpusim.Result (the power tables need per-cache detail CPUSimOutput
-// does not carry).
 func runFig4CellJob(ctx context.Context, seed uint64, params json.RawMessage) (any, error) {
 	var p Fig4CellParams
 	if err := decodeParams(params, &p); err != nil {
 		return nil, err
 	}
-	mode, err := modeByName(p.Mode)
-	if err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, err
-	}
-	w, ok := trace.ByName(p.Bench)
-	if !ok {
-		return nil, fmt.Errorf("expers: unknown benchmark %q (known: %v)", p.Bench, trace.Names())
-	}
-	if p.SimInstr == 0 {
-		return nil, fmt.Errorf("expers: fig4-cell job needs sim_instr > 0")
 	}
 	if p.Seed != 0 {
 		seed = p.Seed
 	}
-	return cpusim.RunContext(ctx, p.Config, mode, w, cpusim.RunOptions{
-		WarmupInstr: p.WarmupInstr,
-		SimInstr:    p.SimInstr,
-		Seed:        seed,
-		// Warm path: reuse this worker's simulation arena (nil when cold).
-		Arena: arenaFromContext(ctx).simArena(),
-	})
+	return runSimCell(ctx, p.Config, p.Mode, p.Bench, p.WarmupInstr, p.SimInstr, seed)
 }
 
-// GridOptions configure one Fig4Grid execution.
-type GridOptions struct {
-	// Workers sizes the pool; <= 0 uses GOMAXPROCS.
-	Workers int
-	// Progress, when non-nil, receives one line per finished cell in
-	// completion order.
-	Progress io.Writer
-	// Cache, when non-nil, memoizes cells content-addressed by their
-	// parameter document, seed and CodeVersion.
-	Cache runner.ResultCache
-	// CodeVersion is the build identity for cache keys (version.String).
-	CodeVersion string
-	// ArtifactDir, when non-empty, archives the campaign there
-	// (manifest, timeline, results, ledger — see internal/runner).
-	ArtifactDir string
-	// TraceSpans records per-cell phase spans to <ArtifactDir>/spans.jsonl
-	// for `pcs report -perfetto` and `pcs report -top`.
-	TraceSpans bool
-}
+// fig4Modes is the grid's mode axis, in table column order.
+var fig4Modes = []core.Mode{core.Baseline, core.SPCS, core.DPCS}
 
-// GridStats is the cell accounting of one grid execution, for the
-// CLI's end-of-run summary line.
-type GridStats struct {
-	Cells    int
-	Cached   int
-	Computed int
-	Failed   int
-}
-
-// Fig4Grid runs the full-suite Fig. 4 grid through the campaign
-// runner's registered "fig4-cell" kind, optionally memoized through a
-// content-addressed result store: a repeated invocation with the same
-// config, window and seed serves every cell from the cache and still
-// assembles byte-identical Fig4Data.
-func Fig4Grid(ctx context.Context, cfg cpusim.SystemConfig, opts cpusim.RunOptions, gopts GridOptions) (Fig4Data, GridStats, error) {
-	return Fig4GridWorkloads(ctx, cfg, trace.Suite(), opts, gopts)
-}
-
-// Fig4GridWorkloads is Fig4Grid over an explicit workload list.
-//
-// Every cell is an independent simulation pinned to opts.Seed, exactly
-// as Fig4's serial loop runs it — cpusim's concurrency contract permits
-// one System per goroutine — so the assembled Fig4Data is
-// byte-identical to Fig4's regardless of worker count, completion
-// order, or cache hits; only wall-clock time changes.
-func Fig4GridWorkloads(ctx context.Context, cfg cpusim.SystemConfig, workloads []trace.Workload, opts cpusim.RunOptions, gopts GridOptions) (Fig4Data, GridStats, error) {
-	modes := []core.Mode{core.Baseline, core.SPCS, core.DPCS}
-	jobs := make([]runner.Spec, 0, len(workloads)*len(modes))
+// Fig4CellJobs builds the "fig4-cell" jobs of one configuration's grid:
+// workload × mode, in row order, every cell pinned to opts.Seed so the
+// three modes of a workload share fault maps. It is the one builder of
+// the grid; `pcs sim` and a served "sim" spec document both run it.
+func Fig4CellJobs(cfg cpusim.SystemConfig, workloads []trace.Workload, opts cpusim.RunOptions) ([]runner.Spec, error) {
+	jobs := make([]runner.Spec, 0, len(workloads)*len(fig4Modes))
 	for _, w := range workloads {
-		for _, m := range modes {
+		for _, m := range fig4Modes {
 			params, err := json.Marshal(Fig4CellParams{
 				Config:      cfg,
 				Mode:        m.String(),
@@ -205,7 +120,7 @@ func Fig4GridWorkloads(ctx context.Context, cfg cpusim.SystemConfig, workloads [
 				Seed:        opts.Seed,
 			})
 			if err != nil {
-				return Fig4Data{}, GridStats{}, err
+				return nil, err
 			}
 			jobs = append(jobs, runner.Spec{
 				Kind:   "fig4-cell",
@@ -214,61 +129,44 @@ func Fig4GridWorkloads(ctx context.Context, cfg cpusim.SystemConfig, workloads [
 			})
 		}
 	}
-	ropts := runner.Options{
-		Workers:     gopts.Workers,
-		Cache:       gopts.Cache,
-		CodeVersion: gopts.CodeVersion,
-		ArtifactDir: gopts.ArtifactDir,
-		TraceSpans:  gopts.TraceSpans,
-	}
-	if gopts.Progress != nil {
-		ropts.OnResult = func(r runner.JobResult) {
-			if r.Status == runner.StatusDone {
-				fmt.Fprintf(gopts.Progress, "  %s\n", r.Output.(cpusim.Result))
-			}
-		}
+	return jobs, nil
+}
+
+// Fig4Grid runs one configuration's Fig. 4 grid as the campaign
+// "fig4-<config>" through the runner, under the caller's options
+// (workers, result cache, artifacts, tracing, progress callbacks).
+//
+// Every cell is an independent simulation pinned to opts.Seed, so the
+// assembled Fig4Data is byte-identical at any worker count, completion
+// order or cache state; only wall-clock time changes. The campaign
+// result is returned whenever the campaign ran, including when a cell
+// failed (the error then names the first failed cell).
+func Fig4Grid(ctx context.Context, cfg cpusim.SystemConfig, workloads []trace.Workload, opts cpusim.RunOptions, ropts runner.Options) (Fig4Data, *runner.CampaignResult, error) {
+	jobs, err := Fig4CellJobs(cfg, workloads, opts)
+	if err != nil {
+		return Fig4Data{}, nil, err
 	}
 	cres, err := runner.Run(ctx, NewCampaignRegistry(),
 		runner.Campaign{Name: "fig4-" + cfg.Name, Seed: opts.Seed, Jobs: jobs}, ropts)
 	if err != nil {
-		return Fig4Data{}, GridStats{}, err
-	}
-	stats := GridStats{
-		Cells:    len(jobs),
-		Cached:   cres.Cached,
-		Computed: cres.Done - cres.Cached,
-		Failed:   cres.Failed,
+		return Fig4Data{}, nil, err
 	}
 	for _, r := range cres.Results {
 		if r.Status != runner.StatusDone {
-			return Fig4Data{}, stats, fmt.Errorf("expers: %s: %s", r.Name, r.Error)
+			return Fig4Data{}, cres, fmt.Errorf("expers: %s: %s", r.Name, r.Error)
 		}
 	}
-
 	data := Fig4Data{Config: cfg.Name}
 	for i, w := range workloads {
+		row := cres.Results[i*len(fig4Modes):]
 		data.Rows = append(data.Rows, Fig4Row{
 			Workload: w.Name,
-			Baseline: cres.Results[i*len(modes)+0].Output.(cpusim.Result),
-			SPCS:     cres.Results[i*len(modes)+1].Output.(cpusim.Result),
-			DPCS:     cres.Results[i*len(modes)+2].Output.(cpusim.Result),
+			Baseline: row[0].Output.(cpusim.Result),
+			SPCS:     row[1].Output.(cpusim.Result),
+			DPCS:     row[2].Output.(cpusim.Result),
 		})
 	}
-	return data, stats, nil
-}
-
-// Fig4Parallel runs the same workload×mode grid as Fig4, fanned out
-// over the worker pool without caching; see Fig4Grid for the memoized
-// form.
-func Fig4Parallel(ctx context.Context, cfg cpusim.SystemConfig, opts cpusim.RunOptions, workers int, progress io.Writer) (Fig4Data, error) {
-	return Fig4ParallelWorkloads(ctx, cfg, trace.Suite(), opts, workers, progress)
-}
-
-// Fig4ParallelWorkloads is Fig4Parallel over an explicit workload list;
-// benchmarks use it to run representative subsets of the suite.
-func Fig4ParallelWorkloads(ctx context.Context, cfg cpusim.SystemConfig, workloads []trace.Workload, opts cpusim.RunOptions, workers int, progress io.Writer) (Fig4Data, error) {
-	data, _, err := Fig4GridWorkloads(ctx, cfg, workloads, opts, GridOptions{Workers: workers, Progress: progress})
-	return data, err
+	return data, cres, nil
 }
 
 // Summary aggregates a configuration's Fig. 4 data into the paper's

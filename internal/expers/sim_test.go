@@ -8,6 +8,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpusim"
+	"repro/internal/obs"
+	"repro/internal/resultstore"
+	"repro/internal/runner"
 	"repro/internal/trace"
 )
 
@@ -117,7 +120,7 @@ func TestFig4RunsWholeSuiteSmoke(t *testing.T) {
 	}
 	cfg := cpusim.ConfigA()
 	opts := cpusim.RunOptions{WarmupInstr: 20_000, SimInstr: 60_000, Seed: 1}
-	d, err := Fig4(cfg, opts, nil)
+	d, _, err := Fig4Grid(context.Background(), cfg, trace.Suite(), opts, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +135,7 @@ func TestFig4RunsWholeSuiteSmoke(t *testing.T) {
 }
 
 // TestFig4ParallelMatchesSerial asserts the worker-pool grid produces
-// byte-identical Fig4Data to the serial loop: every cell pins the same
+// byte-identical Fig4Data to a serial loop of direct simulations: every cell pins the same
 // RunOptions.Seed and owns its own System, so worker count and
 // completion order cannot influence any simulated result.
 func TestFig4ParallelMatchesSerial(t *testing.T) {
@@ -162,13 +165,92 @@ func TestFig4ParallelMatchesSerial(t *testing.T) {
 		serial.Rows = append(serial.Rows, row)
 	}
 	for _, workers := range []int{1, 4} {
-		parallel, err := Fig4ParallelWorkloads(context.Background(), cfg, workloads, opts, workers, nil)
+		parallel, _, err := Fig4Grid(context.Background(), cfg, workloads, opts, runner.Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Fatalf("workers=%d: parallel Fig4Data diverges from serial:\nserial   %+v\nparallel %+v",
 				workers, serial, parallel)
+		}
+	}
+}
+
+// TestFig4CellPolicySink checks a DPCS fig4-cell delivers its policy
+// decisions to the PolicySink on the job context, as cpusim jobs do.
+func TestFig4CellPolicySink(t *testing.T) {
+	w, _ := trace.ByName("bzip2.s")
+	jobs, err := Fig4CellJobs(cpusim.ConfigA(), []trace.Workload{w},
+		cpusim.RunOptions{WarmupInstr: 10_000, SimInstr: 100_000, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dpcs := jobs[2]
+	if !strings.HasSuffix(dpcs.Name, "/DPCS") {
+		t.Fatalf("job 2 is %s, want the DPCS cell", dpcs.Name)
+	}
+	fn, _ := NewCampaignRegistry().Lookup("fig4-cell")
+	col := &obs.Collector{}
+	out, err := fn(obs.ContextWithPolicySink(context.Background(), col), 0, dpcs.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(col.Events) == 0 {
+		t.Fatal("DPCS fig4-cell delivered no policy events to the context sink")
+	}
+	if r := out.(cpusim.Result); r.Mode != core.DPCS || r.TotalCacheEnergyJ <= 0 {
+		t.Fatalf("implausible output %+v", r)
+	}
+}
+
+// TestStaleOutputSchemaRecomputes seeds the result store, under the
+// current cache key, with entries in the two retired simulation output
+// schemas: the untagged CamelCase cpusim.Result a fig4-cell used to
+// store and the snake_case summary a cpusim job used to store. Both
+// must be recomputed rather than decoded to zero energy, and the
+// recomputed entry must then serve the next run.
+func TestStaleOutputSchemaRecomputes(t *testing.T) {
+	w, _ := trace.ByName("bzip2.s")
+	cells, err := Fig4CellJobs(cpusim.ConfigA(), []trace.Workload{w},
+		cpusim.RunOptions{WarmupInstr: 5_000, SimInstr: 20_000, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		job   runner.Spec
+		stale string
+	}{
+		{cells[1], `{"Workload":"bzip2.s","Config":"A","Mode":1,"Instructions":20000,"Cycles":1,` +
+			`"Seconds":0,"IPC":1,"L1I":{},"L1D":{},"L2":{},"TotalCacheEnergyJ":0}`},
+		{mustSpec(t, "cpusim", "old", smallSimParams("SPCS", 4)),
+			`{"workload":"bzip2.s","config":"A","mode":"SPCS","instructions":30000,"cycles":1,"ipc":1,` +
+				`"l1i_energy_j":0,"l1d_energy_j":0,"l2_energy_j":0,"total_cache_energy_j":0,"l2_transitions":0}`},
+	} {
+		store, err := resultstore.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, err := resultstore.Key(tc.job.Kind, tc.job.Params, 4, "test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Put(key, []byte(tc.stale)); err != nil {
+			t.Fatal(err)
+		}
+		camp := runner.Campaign{Name: "stale", Seed: 1, Jobs: []runner.Spec{tc.job}}
+		opts := runner.Options{Workers: 1, Cache: store, CodeVersion: "test"}
+		for run, wantCached := range []int{0, 1} {
+			res, err := runner.Run(context.Background(), NewCampaignRegistry(), camp, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Done != 1 || res.Cached != wantCached {
+				t.Fatalf("%s run %d: done=%d cached=%d, want done=1 cached=%d",
+					tc.job.Kind, run, res.Done, res.Cached, wantCached)
+			}
+			if e := res.Results[0].Output.(cpusim.Result).TotalCacheEnergyJ; e <= 0 {
+				t.Fatalf("%s run %d: total_cache_energy_j = %v", tc.job.Kind, run, e)
+			}
 		}
 	}
 }

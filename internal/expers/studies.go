@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/cpusim"
 	"repro/internal/mechanism"
 	"repro/internal/report"
 	"repro/internal/runner"
@@ -206,7 +207,7 @@ func DPCSStudy(bench string, instr uint64, seed uint64) Study {
 		Name: "dpcs",
 		Jobs: jobs,
 		Table: func(results []runner.JobResult) (*report.Table, error) {
-			baseOut, err := jobOutput[CPUSimOutput](results, 0)
+			baseOut, err := jobOutput[cpusim.Result](results, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -216,7 +217,7 @@ func DPCSStudy(bench string, instr uint64, seed uint64) Study {
 			i := 1
 			for _, interval := range intervals {
 				for _, ht := range threshes {
-					out, err := jobOutput[CPUSimOutput](results, i)
+					out, err := jobOutput[cpusim.Result](results, i)
 					if err != nil {
 						return nil, err
 					}
@@ -224,7 +225,7 @@ func DPCSStudy(bench string, instr uint64, seed uint64) Study {
 					t.AddRow(interval, ht,
 						fmt.Sprintf("%.1f", (1-out.TotalCacheEnergyJ/baseOut.TotalCacheEnergyJ)*100),
 						fmt.Sprintf("%.2f", (float64(out.Cycles)/float64(baseOut.Cycles)-1)*100),
-						out.L2Transitions)
+						out.L2.Transitions)
 				}
 			}
 			return t, nil

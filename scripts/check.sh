@@ -42,9 +42,14 @@ go test -count=1 -race -run 'TestTableConcurrentReads' ./internal/memo
 # must surface in the Fig. 3 comparison surfaces its capability flags
 # promise, the "mechs" study must cover the registry, and the adapters
 # must reproduce the pre-registry model call paths float-for-float.
-go test -count=1 -run 'TestRegistryCompleteness|TestMechStudyCoversRegistry|TestDefaultSelectionMatchesLegacy' ./internal/expers
+go test -count=1 -run 'TestRegistryCompleteness|TestMechStudyCoversRegistry' ./internal/expers
 go test -count=1 -run 'TestAdapterDifferential' ./internal/mechanism
 go test -count=1 -run 'TestKeyGoldenFixtures|TestKeyMechVersionBump' ./internal/resultstore
+
+# One Fig. 4 cell path (DESIGN.md §10): a sim spec document run by
+# `pcs sim -spec` and the same document served through POST /campaigns
+# must leave byte-identical results.jsonl.
+go test -count=1 -run 'TestSimLocalMatchesServed' ./cmd/pcs
 
 # Campaign-cell throughput smoke: one cold and one warm pass of the
 # mixed grid so the end-to-end cells/sec benchmark stays runnable; the

@@ -30,4 +30,8 @@ if ! grep -q ' 0 computed' "$tmp/sweep2.err"; then
 	exit 1
 fi
 
+echo "goldens: multicore"
+go run ./cmd/pcs multicore -spec examples/multicore.toml > "$tmp/multicore.txt"
+cmp multicore_output.txt "$tmp/multicore.txt"
+
 echo "goldens: OK"
