@@ -140,8 +140,10 @@ func BenchmarkMinVDDvsAssoc(b *testing.B) {
 }
 
 // fig4Bench runs a scaled-down Fig. 4 for one configuration over a
-// representative benchmark subset — through the worker pool, as the full
-// pcs-sim grid now runs — and reports the headline savings.
+// representative benchmark subset — through the worker pool and each
+// cell's trace pipe, as the full pcs sim grid runs — and reports the
+// headline savings plus the grid's simulated throughput: (warm-up +
+// measured) instructions × cells per second.
 func fig4Bench(b *testing.B, cfg cpusim.SystemConfig) {
 	b.Helper()
 	names := []string{"hmmer.s", "bzip2.s", "mcf.s", "libquantum.s"}
@@ -155,13 +157,16 @@ func fig4Bench(b *testing.B, cfg cpusim.SystemConfig) {
 	}
 	opts := cpusim.RunOptions{WarmupInstr: 200_000, SimInstr: 1_000_000, Seed: 1}
 	var sum expers.Summary
+	cells := 0
 	for i := 0; i < b.N; i++ {
-		data, _, err := expers.Fig4Grid(context.Background(), cfg, workloads, opts, runner.Options{})
+		data, res, err := expers.Fig4Grid(context.Background(), cfg, workloads, opts, runner.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		sum = expers.Summarise(data)
+		cells += len(res.Results)
 	}
+	b.ReportMetric(float64(opts.WarmupInstr+opts.SimInstr)*float64(cells)/b.Elapsed().Seconds(), "instr/s")
 	b.ReportMetric(sum.MeanSavingSPCS*100, "meanSPCSsaving-%")
 	b.ReportMetric(sum.MeanSavingDPCS*100, "meanDPCSsaving-%")
 	b.ReportMetric(sum.MaxOverheadDPCS*100, "maxDPCSoverhead-%")

@@ -55,7 +55,7 @@ func reportCommand() *cli.Command {
 			fs.Float64Var(&clockGHz, "clock", 2.0, "clock for -timeline cycle-to-time conversion (GHz; Config A = 2, B = 3)")
 			fs.BoolVar(&perfetto, "perfetto", false, "convert RUNDIR/spans.jsonl to a Chrome trace-event file and exit")
 			fs.BoolVar(&top, "top", false, "render RUNDIR's per-cell resource attribution tables and exit")
-			fs.StringVar(&sortKey, "sort", "cpu", "with -top: sort key (cpu, wall, allocs, energy)")
+			fs.StringVar(&sortKey, "sort", "wall", "with -top: sort key (wall, allocs, energy)")
 			fs.IntVar(&topN, "n", 15, "with -top: rows in the top-cells table (0 = all)")
 		},
 		Run: func(fs *flag.FlagSet) error {

@@ -16,8 +16,8 @@ import (
 )
 
 // topCommand renders per-cell resource attribution — where a
-// campaign's wall time, CPU time, allocations and simulated energy
-// went. It reads either an archived run directory (timeline.jsonl +
+// campaign's wall time, allocations and simulated energy went. It
+// reads either an archived run directory (timeline.jsonl +
 // results.jsonl) or a live pcs serve campaign over HTTP, following the
 // event stream and refreshing the table until the campaign finishes.
 func topCommand() *cli.Command {
@@ -34,7 +34,7 @@ func topCommand() *cli.Command {
 		Usage:   "[-sort key] [-n N] RUNDIR | -addr host:port [-interval 2s] [-once] [campaign-id]",
 		SetFlags: func(fs *flag.FlagSet) {
 			fs.StringVar(&addr, "addr", "", "pcs serve address; follow a live campaign instead of reading a run directory")
-			fs.StringVar(&sortKey, "sort", "cpu", "sort key: cpu, wall, allocs, energy")
+			fs.StringVar(&sortKey, "sort", "wall", "sort key: wall, allocs, energy")
 			fs.IntVar(&topN, "n", 15, "rows in the top-cells table (0 = all)")
 			fs.DurationVar(&interval, "interval", 2*time.Second, "with -addr: table refresh period")
 			fs.BoolVar(&once, "once", false, "with -addr: render the current snapshot once and exit")

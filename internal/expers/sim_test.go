@@ -1,8 +1,11 @@
 package expers
 
 import (
+	"bytes"
 	"context"
 	"reflect"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"testing"
 
@@ -200,6 +203,68 @@ func TestFig4CellPolicySink(t *testing.T) {
 	}
 	if r := out.(cpusim.Result); r.Mode != core.DPCS || r.TotalCacheEnergyJ <= 0 {
 		t.Fatalf("implausible output %+v", r)
+	}
+}
+
+// profileSink takes a goroutine profile at every policy event until
+// one shows the trace-pipe producer, i.e. while the cell's pipe is open.
+type profileSink struct {
+	profile string
+}
+
+func (s *profileSink) Record(obs.PolicyEvent) {
+	if strings.Contains(s.profile, pipeProducer) {
+		return
+	}
+	var buf bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err == nil {
+		s.profile = buf.String()
+	}
+}
+
+// pipeProducer is the function of the trace-pipe producer goroutine.
+const pipeProducer = "trace.StartPipeArena.func1"
+
+// TestPipeProducerCarriesCellLabels checks the goroutine a fig4-cell
+// starts to generate its trace inherits the runner's pprof labels, so a
+// CPU profile attributes generation time to the cell and its kind.
+func TestPipeProducerCarriesCellLabels(t *testing.T) {
+	// The pipe runs its producer on a goroutine only when there is more
+	// than one P to schedule it on.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	w, _ := trace.ByName("bzip2.s")
+	jobs, err := Fig4CellJobs(cpusim.ConfigA(), []trace.Workload{w},
+		cpusim.RunOptions{WarmupInstr: 10_000, SimInstr: 100_000, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dpcs := jobs[2]
+	sink := &profileSink{}
+	res, err := runner.Run(context.Background(), NewCampaignRegistry(),
+		runner.Campaign{Name: "labels", Seed: 3, Jobs: []runner.Spec{dpcs}},
+		runner.Options{Workers: 1, JobContext: func(ctx context.Context, _ int, _ runner.Spec) context.Context {
+			return obs.ContextWithPolicySink(ctx, sink)
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Done != 1 {
+		t.Fatalf("cell did not finish: %+v", res.Results[0])
+	}
+	var stack string
+	for _, g := range strings.Split(sink.profile, "\n\n") {
+		if strings.Contains(g, pipeProducer) {
+			stack = g
+			break
+		}
+	}
+	if stack == "" {
+		t.Fatalf("no goroutine profile taken while the pipe was open:\n%s", sink.profile)
+	}
+	for _, want := range []string{`"kind":"fig4-cell"`, `"cell":"` + dpcs.Name + `"`} {
+		if !strings.Contains(stack, want) {
+			t.Errorf("pipe producer lacks label %s:\n%s", want, stack)
+		}
 	}
 }
 

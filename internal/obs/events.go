@@ -60,18 +60,26 @@ type JobEvent struct {
 	Resources *JobResources `json:"resources,omitempty"`
 }
 
+// CellLabel names a campaign cell: the spec name when set, else
+// kind#index. The top-cells reports print it and the runner uses it as
+// the cell's pprof "cell" label, so a cell seen in `pcs top` is found
+// in a CPU profile under the same name.
+func CellLabel(kind, name string, index int) string {
+	if name != "" {
+		return name
+	}
+	return fmt.Sprintf("%s#%d", kind, index)
+}
+
 // JobResources attributes measured cost to one job: where the
-// campaign's wall time, CPU time and allocations actually went. CPU
-// time is the worker thread's rusage delta (Linux; zero elsewhere),
-// allocations are runtime/metrics heap deltas sampled on the worker
-// goroutine — exact for the serial portions of a job, approximate for
-// anything the job itself parallelises.
+// campaign's wall time and allocations actually went. Allocations are
+// runtime/metrics heap deltas sampled on the worker goroutine — exact
+// for the serial portions of a job, approximate for anything the job
+// itself parallelises. CPU time is not a field: it is attributed by
+// the pprof labels the runner puts on every kind call (DESIGN.md §11.2).
 type JobResources struct {
 	// WallMS is the job's wall-clock duration.
 	WallMS float64 `json:"wall_ms"`
-	// CPUMS is the worker OS thread's user+system CPU time over the
-	// job (RUSAGE_THREAD delta under runtime.LockOSThread).
-	CPUMS float64 `json:"cpu_ms"`
 	// Allocs and AllocBytes are heap allocation deltas over the job.
 	Allocs     uint64 `json:"allocs"`
 	AllocBytes uint64 `json:"alloc_bytes"`

@@ -19,7 +19,6 @@ type CellUsage struct {
 	Name   string
 	Status string // done / failed / cancelled
 	WallMS float64
-	CPUMS  float64
 	Allocs uint64
 	// AllocBytes is the job's heap allocation volume.
 	AllocBytes uint64
@@ -61,7 +60,6 @@ func CellsFromEvents(events []obs.JobEvent) []CellUsage {
 		}
 		if r := ev.Resources; r != nil {
 			c.WallMS = r.WallMS
-			c.CPUMS = r.CPUMS
 			c.Allocs = r.Allocs
 			c.AllocBytes = r.AllocBytes
 			c.CacheHit = r.CacheHit
@@ -118,19 +116,11 @@ func AttachEnergyFile(cells []CellUsage, path string) error {
 	return AttachEnergy(cells, f)
 }
 
-// SortCells orders cells by the named key, descending: "cpu" (measured
-// CPU time, wall time breaking ties — off Linux CPU time is zero and
-// the order degrades to wall), "wall", "allocs", or "energy".
+// SortCells orders cells by the named key, descending: "wall",
+// "allocs", or "energy".
 func SortCells(cells []CellUsage, key string) error {
 	var less func(a, b CellUsage) bool
 	switch key {
-	case "cpu":
-		less = func(a, b CellUsage) bool {
-			if a.CPUMS != b.CPUMS {
-				return a.CPUMS > b.CPUMS
-			}
-			return a.WallMS > b.WallMS
-		}
 	case "wall":
 		less = func(a, b CellUsage) bool { return a.WallMS > b.WallMS }
 	case "allocs":
@@ -138,19 +128,10 @@ func SortCells(cells []CellUsage, key string) error {
 	case "energy":
 		less = func(a, b CellUsage) bool { return a.EnergyJ > b.EnergyJ }
 	default:
-		return fmt.Errorf("report: unknown sort key %q (cpu, wall, allocs, energy)", key)
+		return fmt.Errorf("report: unknown sort key %q (wall, allocs, energy)", key)
 	}
 	sort.SliceStable(cells, func(i, j int) bool { return less(cells[i], cells[j]) })
 	return nil
-}
-
-// cellLabel names a cell for display: the spec name when set, else
-// kind#index.
-func cellLabel(c CellUsage) string {
-	if c.Name != "" {
-		return c.Name
-	}
-	return fmt.Sprintf("%s#%d", c.Kind, c.Index)
 }
 
 // cacheMark renders the cell's resultstore provenance.
@@ -172,9 +153,9 @@ func TopCellsTable(cells []CellUsage, n int) *Table {
 		cells = cells[:n]
 	}
 	t := NewTable("Top cells by resource usage",
-		"cell", "kind", "status", "wall ms", "cpu ms", "alloc MB", "cache", "transitions", "writebacks", "energy mJ")
+		"cell", "kind", "status", "wall ms", "alloc MB", "cache", "transitions", "writebacks", "energy mJ")
 	for _, c := range cells {
-		t.AddRow(cellLabel(c), c.Kind, c.Status, c.WallMS, c.CPUMS,
+		t.AddRow(obs.CellLabel(c.Kind, c.Name, c.Index), c.Kind, c.Status, c.WallMS,
 			float64(c.AllocBytes)/(1<<20), cacheMark(c), c.Transitions, c.Writebacks, c.EnergyJ*1e3)
 	}
 	return t
@@ -186,7 +167,7 @@ func KindSummaryTable(cells []CellUsage) *Table {
 	type agg struct {
 		kind         string
 		jobs         int
-		wall, cpu    float64
+		wall         float64
 		allocBytes   uint64
 		hits, misses int
 		energyJ      float64
@@ -202,7 +183,6 @@ func KindSummaryTable(cells []CellUsage) *Table {
 		}
 		a.jobs++
 		a.wall += c.WallMS
-		a.cpu += c.CPUMS
 		a.allocBytes += c.AllocBytes
 		if c.CacheHit {
 			a.hits++
@@ -213,13 +193,13 @@ func KindSummaryTable(cells []CellUsage) *Table {
 		a.energyJ += c.EnergyJ
 	}
 	sort.Slice(order, func(i, j int) bool {
-		return byKind[order[i]].cpu > byKind[order[j]].cpu
+		return byKind[order[i]].wall > byKind[order[j]].wall
 	})
 	t := NewTable("Per-kind totals",
-		"kind", "jobs", "wall ms", "cpu ms", "alloc MB", "hits", "misses", "energy mJ")
+		"kind", "jobs", "wall ms", "alloc MB", "hits", "misses", "energy mJ")
 	for _, k := range order {
 		a := byKind[k]
-		t.AddRow(a.kind, a.jobs, a.wall, a.cpu, float64(a.allocBytes)/(1<<20),
+		t.AddRow(a.kind, a.jobs, a.wall, float64(a.allocBytes)/(1<<20),
 			a.hits, a.misses, a.energyJ*1e3)
 	}
 	return t

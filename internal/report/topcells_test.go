@@ -8,18 +8,18 @@ import (
 )
 
 func topcellsEvents() []obs.JobEvent {
-	res := func(wall, cpu float64, bytes uint64, hit bool, trans int) *obs.JobResources {
+	res := func(wall float64, bytes uint64, hit bool, trans int) *obs.JobResources {
 		return &obs.JobResources{
-			WallMS: wall, CPUMS: cpu, Allocs: bytes / 64, AllocBytes: bytes,
+			WallMS: wall, Allocs: bytes / 64, AllocBytes: bytes,
 			CacheHit: hit, CacheMiss: !hit, Transitions: trans, Writebacks: uint64(trans) * 3,
 		}
 	}
 	return []obs.JobEvent{
 		{Type: obs.EventCampaignStarted, Index: -1, Campaign: "c"},
 		{Type: obs.EventJobStarted, Index: 0, Kind: "cpusim"},
-		{Type: obs.EventJobDone, Index: 1, Kind: "cpusim", Name: "fast", Resources: res(5, 4, 1<<20, true, 2)},
-		{Type: obs.EventJobDone, Index: 0, Kind: "cpusim", Name: "slow", Resources: res(50, 45, 8<<20, false, 7)},
-		{Type: obs.EventJobFailed, Index: 2, Kind: "analytical", Error: "boom", Resources: res(1, 1, 1<<10, false, 0)},
+		{Type: obs.EventJobDone, Index: 1, Kind: "cpusim", Name: "fast", Resources: res(5, 1<<20, true, 2)},
+		{Type: obs.EventJobDone, Index: 0, Kind: "cpusim", Name: "slow", Resources: res(50, 8<<20, false, 7)},
+		{Type: obs.EventJobFailed, Index: 2, Kind: "analytical", Error: "boom", Resources: res(1, 1<<10, false, 0)},
 		{Type: obs.EventCampaignFinished, Index: -1, State: "done"},
 	}
 }
@@ -38,11 +38,11 @@ func TestCellsFromEventsAndSort(t *testing.T) {
 	if cells[2].Status != "failed" {
 		t.Errorf("cell 2 status %q", cells[2].Status)
 	}
-	if err := SortCells(cells, "cpu"); err != nil {
+	if err := SortCells(cells, "wall"); err != nil {
 		t.Fatal(err)
 	}
 	if cells[0].Name != "slow" || cells[1].Name != "fast" {
-		t.Fatalf("cpu sort order: %q, %q", cells[0].Name, cells[1].Name)
+		t.Fatalf("wall sort order: %q, %q", cells[0].Name, cells[1].Name)
 	}
 	if err := SortCells(cells, "allocs"); err != nil {
 		t.Fatal(err)
@@ -50,8 +50,10 @@ func TestCellsFromEventsAndSort(t *testing.T) {
 	if cells[0].Name != "slow" {
 		t.Fatalf("allocs sort put %q first", cells[0].Name)
 	}
-	if err := SortCells(cells, "nope"); err == nil {
-		t.Fatal("unknown sort key accepted")
+	for _, key := range []string{"nope", "cpu"} {
+		if err := SortCells(cells, key); err == nil {
+			t.Fatalf("sort key %q accepted", key)
+		}
 	}
 }
 
@@ -88,6 +90,9 @@ func TestAttachEnergyAndTables(t *testing.T) {
 	if strings.Contains(table, "analytical") {
 		t.Errorf("top-2 table includes third cell:\n%s", table)
 	}
+	if strings.Contains(table, "cpu ms") {
+		t.Errorf("top table prints a CPU column:\n%s", table)
+	}
 
 	out.Reset()
 	if err := KindSummaryTable(cells).Render(&out); err != nil {
@@ -97,9 +102,12 @@ func TestAttachEnergyAndTables(t *testing.T) {
 	if !strings.Contains(summary, "cpusim") || !strings.Contains(summary, "analytical") {
 		t.Errorf("kind summary missing kinds:\n%s", summary)
 	}
-	// cpusim has the larger CPU total, so it leads.
+	// cpusim has the larger wall total, so it leads.
 	if strings.Index(summary, "cpusim") > strings.Index(summary, "analytical") {
-		t.Errorf("kind summary not CPU-ordered:\n%s", summary)
+		t.Errorf("kind summary not wall-ordered:\n%s", summary)
+	}
+	if strings.Contains(summary, "cpu ms") {
+		t.Errorf("kind summary prints a CPU column:\n%s", summary)
 	}
 }
 
@@ -109,7 +117,7 @@ func TestCellsWithoutResources(t *testing.T) {
 	cells := CellsFromEvents([]obs.JobEvent{
 		{Type: obs.EventJobDone, Index: 0, Kind: "old", DurationMS: 12.5},
 	})
-	if len(cells) != 1 || cells[0].WallMS != 12.5 || cells[0].CPUMS != 0 {
+	if len(cells) != 1 || cells[0].WallMS != 12.5 {
 		t.Fatalf("cells %+v", cells)
 	}
 }

@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"runtime"
 	rm "runtime/metrics"
 	"time"
 
@@ -9,31 +8,27 @@ import (
 )
 
 // resourceProbe measures one job's resource consumption for the
-// timeline's attribution block (obs.JobResources): thread CPU time via
-// rusage deltas and heap allocation deltas via runtime/metrics. The
-// probe pins the worker goroutine to its OS thread for the duration of
-// the job so RUSAGE_THREAD attributes the kind function's CPU time to
-// this job — exact for single-goroutine kinds (every simulator kind in
-// this repository), an undercount for kinds that fan out internally.
+// timeline's attribution block (obs.JobResources): heap allocation
+// deltas via runtime/metrics and the resultstore probe outcome. CPU
+// time is not measured here: runJob labels the kind call with pprof
+// labels instead, which also cover the goroutines a job spawns (the
+// trace-pipe producer), so CPU profiles slice per cell and per kind.
 //
 // Allocation deltas are per-process heap counters sampled on the
 // worker goroutine, so with several workers they include a slice of
 // the neighbours' allocations; they are attribution hints, not exact
 // accounting, and are documented as such (DESIGN.md §11).
 type resourceProbe struct {
-	cpuStart time.Duration
-	cpuOK    bool
-	allocs0  uint64
-	bytes0   uint64
-	samples  [2]rm.Sample
+	allocs0 uint64
+	bytes0  uint64
+	samples [2]rm.Sample
 	// cacheMiss is set by runJob when a resultstore probe came back
 	// empty (a hit is read off JobResult.Cached instead).
 	cacheMiss bool
 }
 
-// startResourceProbe locks the OS thread and samples the baselines.
+// startResourceProbe samples the baselines.
 func startResourceProbe() *resourceProbe {
-	runtime.LockOSThread()
 	p := &resourceProbe{}
 	p.samples[0].Name = "/gc/heap/allocs:objects"
 	p.samples[1].Name = "/gc/heap/allocs:bytes"
@@ -44,19 +39,15 @@ func startResourceProbe() *resourceProbe {
 	if p.samples[1].Value.Kind() == rm.KindUint64 {
 		p.bytes0 = p.samples[1].Value.Uint64()
 	}
-	p.cpuStart, p.cpuOK = threadCPUTime()
 	return p
 }
 
-// stop samples the end state, unpins the thread, and returns the
-// attribution block. wall is the job's already-measured duration.
+// stop samples the end state and returns the attribution block. wall
+// is the job's already-measured duration.
 func (p *resourceProbe) stop(wall time.Duration) *obs.JobResources {
 	res := &obs.JobResources{
 		WallMS:    float64(wall.Microseconds()) / 1e3,
 		CacheMiss: p.cacheMiss,
-	}
-	if cpu, ok := threadCPUTime(); ok && p.cpuOK {
-		res.CPUMS = float64((cpu - p.cpuStart).Microseconds()) / 1e3
 	}
 	rm.Read(p.samples[:])
 	if p.samples[0].Value.Kind() == rm.KindUint64 {
@@ -65,6 +56,5 @@ func (p *resourceProbe) stop(wall time.Duration) *obs.JobResources {
 	if p.samples[1].Value.Kind() == rm.KindUint64 {
 		res.AllocBytes = p.samples[1].Value.Uint64() - p.bytes0
 	}
-	runtime.UnlockOSThread()
 	return res
 }

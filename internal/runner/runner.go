@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"runtime/pprof"
 	"sync"
 	"time"
 
@@ -497,7 +498,14 @@ func runJob(ctx context.Context, reg *Registry, c Campaign, i, worker int, state
 		}
 	}
 
-	out, err := fn(ctx, res.Seed, spec.Params)
+	// The kind call runs under pprof labels naming the job, so CPU
+	// profiles slice per kind and per cell; goroutines the kind starts
+	// (the trace-pipe producer) inherit them.
+	var out any
+	var err error
+	pprof.Do(ctx, pprof.Labels("kind", spec.Kind, "cell", obs.CellLabel(spec.Kind, spec.Name, i)), func(ctx context.Context) {
+		out, err = fn(ctx, res.Seed, spec.Params)
+	})
 	if err != nil {
 		if ctx.Err() != nil {
 			res.Status = StatusCancelled

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
@@ -131,6 +132,36 @@ func TestPanicIsolation(t *testing.T) {
 	for i, r := range res.Results {
 		if i != 3 && r.Status != StatusDone {
 			t.Fatalf("job %d status %q, want done", i, r.Status)
+		}
+	}
+}
+
+// TestKindCallCarriesPprofLabels checks every kind call runs under
+// pprof labels naming its job: "kind" is the spec's kind and "cell" its
+// name, or kind#index for an unnamed spec.
+func TestKindCallCarriesPprofLabels(t *testing.T) {
+	reg := NewRegistry()
+	reg.MustRegister("labels", func(ctx context.Context, _ uint64, _ json.RawMessage) (any, error) {
+		kind, _ := pprof.Label(ctx, "kind")
+		cell, _ := pprof.Label(ctx, "cell")
+		return [2]string{kind, cell}, nil
+	})
+	c := Campaign{Name: "labels", Seed: 1, Jobs: []Spec{
+		{Kind: "labels", Name: "alpha"},
+		{Kind: "labels"},
+		{Kind: "labels", Name: "A/bzip2.s/DPCS"},
+	}}
+	res, err := Run(context.Background(), reg, c, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][2]string{{"labels", "alpha"}, {"labels", "labels#1"}, {"labels", "A/bzip2.s/DPCS"}}
+	for i, r := range res.Results {
+		if r.Status != StatusDone {
+			t.Fatalf("job %d status %q: %s", i, r.Status, r.Error)
+		}
+		if got := r.Output.([2]string); got != want[i] {
+			t.Errorf("job %d labels kind=%q cell=%q, want kind=%q cell=%q", i, got[0], got[1], want[i][0], want[i][1])
 		}
 	}
 }

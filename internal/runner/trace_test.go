@@ -217,8 +217,8 @@ func TestJobResourcesPopulated(t *testing.T) {
 		if r.Resources == nil {
 			t.Fatalf("job %d has no resources", r.Index)
 		}
-		if r.Resources.WallMS < 0 || r.Resources.CPUMS < 0 {
-			t.Fatalf("job %d negative times: %+v", r.Index, r.Resources)
+		if r.Resources.WallMS < 0 {
+			t.Fatalf("job %d negative wall time: %+v", r.Index, r.Resources)
 		}
 		if r.Resources.CacheHit || !r.Resources.CacheMiss {
 			t.Fatalf("cold run job %d: hit=%v miss=%v", r.Index, r.Resources.CacheHit, r.Resources.CacheMiss)

@@ -2,14 +2,18 @@
 # benchgate.sh — simulator-throughput regression gate. Re-runs the
 # root BenchmarkSimulatorThroughput at steady state (best of GATECOUNT
 # runs of GATETIME each) and compares against the best figures recorded
-# for it in the newest committed BENCH_*.json snapshot; exits non-zero
+# for it in the newest steady-state BENCH_*.json snapshot; exits non-zero
 # if the fresh run is more than GATEPCT percent slower in ns/op, or
 # more than MEMPCT percent heavier in B/op or allocs/op (snapshots
 # predating -benchmem carry no memory figures, in which case the memory
 # gate is skipped). Best-of on both sides keeps the gate usable on
 # shared, noisy machines; the snapshot being compared against should
 # itself be a steady-state run (see bench.sh BENCHTIME/BENCHCOUNT), not
-# a 1x smoke capture.
+# a 1x smoke capture. The baseline is therefore the newest snapshot by
+# file name (BENCH_<date>.json, then .2, .3, … the same day) whose
+# bench_meta line records a benchtime other than 1x; snapshots without
+# a bench_meta line are not considered. File modification times are not
+# used: a checkout sets them all to the same moment.
 set -eu
 cd "$(dirname "$0")/.."
 GATETIME=${GATETIME:-2s}
@@ -17,9 +21,16 @@ GATECOUNT=${GATECOUNT:-3}
 GATEPCT=${GATEPCT:-10}
 MEMPCT=${MEMPCT:-20}
 
-snap=$(ls -t BENCH_*.json 2>/dev/null | head -1 || true)
+snap=
+for f in $(ls BENCH_*.json 2>/dev/null | sort -t. -k1,1r -k2,2nr); do
+	bt=$(head -1 "$f" | sed -n 's/.*"bench_meta":{"benchtime":"\([^"]*\)".*/\1/p')
+	if [ -n "$bt" ] && [ "$bt" != 1x ]; then
+		snap=$f
+		break
+	fi
+done
 if [ -z "$snap" ]; then
-	echo "benchgate: no BENCH_*.json snapshot to gate against; skipping"
+	echo "benchgate: no steady-state BENCH_*.json snapshot to gate against; skipping"
 	exit 0
 fi
 

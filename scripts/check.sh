@@ -25,10 +25,13 @@ go test -count=1 -run 'TestBlockLoopZeroAllocs' ./internal/cpusim
 go test -count=1 -run 'TestHotPathMetricsAllocFree' ./internal/obs
 
 # Tracing gates: the span API must cost nothing when tracing is off
-# (nil-tracer fast path), and a traced campaign must leave results.jsonl
-# byte-identical to an untraced one (DESIGN.md §11).
+# (nil-tracer fast path), a traced campaign must leave results.jsonl
+# byte-identical to an untraced one, and every kind call must run under
+# its kind/cell pprof labels, inherited by the cell's trace-pipe
+# producer goroutine (DESIGN.md §11).
 go test -count=1 -run 'TestTracingOffZeroAllocs' ./internal/obs/tracez
-go test -count=1 -run 'TestTracingDoesNotChangeResults' ./internal/runner
+go test -count=1 -run 'TestTracingDoesNotChangeResults|TestKindCallCarriesPprofLabels' ./internal/runner
+go test -count=1 -run 'TestPipeProducerCarriesCellLabels' ./internal/expers
 
 # Arena/memo gates (DESIGN.md §13): analytical cells must stay at
 # <= 10 allocs/op once the memo layer is warm, warm (arena-reused)
