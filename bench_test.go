@@ -347,10 +347,11 @@ func BenchmarkCampaignCellThroughput(b *testing.B) {
 		drive(b, runner.Options{
 			Workers:       4,
 			NoWorkerState: true,
-			OnJobStart: func(int) {
+			JobContext: func(ctx context.Context, _ int, _ runner.Spec) context.Context {
 				expers.ResetMemos()
 				cpusim.ResetStatics()
 				stats.ResetZipfTables()
+				return ctx
 			},
 		})
 	})

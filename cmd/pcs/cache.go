@@ -7,21 +7,15 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/resultstore"
-	"repro/internal/runner"
 )
 
 // openCache opens the content-addressed result store at dir; "" means
-// caching is disabled and the returned interface is nil (a typed-nil
-// *Store would defeat the runner's nil check).
-func openCache(dir string) (runner.ResultCache, error) {
+// caching is disabled and the store is nil.
+func openCache(dir string) (*resultstore.Store, error) {
 	if dir == "" {
 		return nil, nil
 	}
-	store, err := resultstore.Open(dir)
-	if err != nil {
-		return nil, err
-	}
-	return store, nil
+	return resultstore.Open(dir)
 }
 
 // cacheCommand inspects and prunes the content-addressed result store:

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/expers"
 	"repro/internal/obs"
+	"repro/internal/resultstore"
 	"repro/internal/runner"
 	"repro/internal/version"
 )
@@ -30,7 +31,7 @@ type campaigns struct {
 	// policy-<index>.jsonl next to the campaign records.
 	timeline bool
 
-	cache                           runner.ResultCache
+	cache                           *resultstore.Store
 	cells, cached, computed, failed int
 }
 

@@ -49,7 +49,7 @@ func multicoreCommand() *cli.Command {
 			fs.BoolVar(&jsonOut, "json", false, "emit the table as JSON instead of text")
 			fs.StringVar(&camp.runsRoot, "runs", "", "archive campaign records under this directory (e.g. runs)")
 			fs.BoolVar(&camp.progress, "progress", false, "log campaign progress to stderr")
-			fs.BoolVar(&camp.trace, "trace", false, "with -runs: record campaign trace spans (spans.jsonl, for pcs report -perfetto/-top)")
+			fs.BoolVar(&camp.trace, "trace", false, "with -runs: record campaign trace spans (spans.jsonl, for pcs report -perfetto)")
 			fs.StringVar(&camp.cacheDir, "cache", "", "content-addressed result cache directory (memoizes grid cells across runs)")
 		},
 		Run: func(fs *flag.FlagSet) error {

@@ -28,9 +28,9 @@ import (
 // reproduction and instead renders a policy timeline (a JSONL file
 // written by pcs sim -timeline or pcs sweep -timeline) as VDD-vs-time
 // tables. -perfetto RUNDIR converts a traced run's spans.jsonl to a
-// Chrome trace-event file loadable in Perfetto / chrome://tracing, and
-// -top RUNDIR renders the run's per-cell resource attribution (see
-// DESIGN.md §11); both read a runs/<ts>/ directory and exit.
+// Chrome trace-event file loadable in Perfetto / chrome://tracing (see
+// DESIGN.md §11) and exits; `pcs top RUNDIR` renders the same run's
+// per-cell resource attribution.
 func reportCommand() *cli.Command {
 	var (
 		out      string
@@ -39,14 +39,11 @@ func reportCommand() *cli.Command {
 		timeline string
 		clockGHz float64
 		perfetto bool
-		top      bool
-		sortKey  string
-		topN     int
 	)
 	return &cli.Command{
 		Name:    "report",
 		Summary: "run the full reproduction and write one Markdown report",
-		Usage:   "[-o report.md] [-instr N] [-quick] [-timeline file [-clock GHz]] [-perfetto RUNDIR] [-top RUNDIR [-sort key] [-n N]]",
+		Usage:   "[-o report.md] [-instr N] [-quick] [-timeline file [-clock GHz]] [-perfetto RUNDIR]",
 		SetFlags: func(fs *flag.FlagSet) {
 			fs.StringVar(&out, "o", "report.md", "output Markdown path (with -perfetto: trace output path, default RUNDIR/trace.json)")
 			fs.Uint64Var(&instr, "instr", 24_000_000, "measured instructions per simulation run")
@@ -54,9 +51,6 @@ func reportCommand() *cli.Command {
 			fs.StringVar(&timeline, "timeline", "", "render this policy timeline JSONL as VDD-vs-time tables and exit")
 			fs.Float64Var(&clockGHz, "clock", 2.0, "clock for -timeline cycle-to-time conversion (GHz; Config A = 2, B = 3)")
 			fs.BoolVar(&perfetto, "perfetto", false, "convert RUNDIR/spans.jsonl to a Chrome trace-event file and exit")
-			fs.BoolVar(&top, "top", false, "render RUNDIR's per-cell resource attribution tables and exit")
-			fs.StringVar(&sortKey, "sort", "wall", "with -top: sort key (wall, allocs, energy)")
-			fs.IntVar(&topN, "n", 15, "with -top: rows in the top-cells table (0 = all)")
 		},
 		Run: func(fs *flag.FlagSet) error {
 			if quick {
@@ -65,19 +59,16 @@ func reportCommand() *cli.Command {
 			if timeline != "" {
 				return renderSavedTimeline(timeline, clockGHz*1e9)
 			}
-			if perfetto || top {
+			if perfetto {
 				if fs.NArg() != 1 {
-					return fmt.Errorf("-perfetto/-top need exactly one run directory argument (got %d)", fs.NArg())
+					return fmt.Errorf("-perfetto needs exactly one run directory argument (got %d)", fs.NArg())
 				}
 				dir := fs.Arg(0)
-				if perfetto {
-					dst := filepath.Join(dir, "trace.json")
-					if flagsSet(fs)["o"] {
-						dst = out
-					}
-					return exportPerfetto(dir, dst)
+				dst := filepath.Join(dir, "trace.json")
+				if flagsSet(fs)["o"] {
+					dst = out
 				}
-				return renderTopCells(dir, sortKey, topN)
+				return exportPerfetto(dir, dst)
 			}
 			return writeReport(out, instr)
 		},
@@ -107,30 +98,6 @@ func exportPerfetto(dir, dst string) error {
 	}
 	fmt.Printf("wrote %d spans to %s (load in https://ui.perfetto.dev or chrome://tracing)\n", len(spans), dst)
 	return nil
-}
-
-// renderTopCells renders a run directory's per-cell resource
-// attribution: the top-N cells table plus per-kind totals, joined with
-// per-cell energy from results.jsonl where available.
-func renderTopCells(dir, sortKey string, n int) error {
-	events, err := obs.ReadJobTimeline(filepath.Join(dir, "timeline.jsonl"))
-	if err != nil {
-		return err
-	}
-	cells := report.CellsFromEvents(events)
-	if len(cells) == 0 {
-		return fmt.Errorf("%s: timeline has no terminal job events", dir)
-	}
-	if err := report.AttachEnergyFile(cells, filepath.Join(dir, "results.jsonl")); err != nil {
-		return err
-	}
-	if err := report.SortCells(cells, sortKey); err != nil {
-		return err
-	}
-	if err := report.TopCellsTable(cells, n).Render(os.Stdout); err != nil {
-		return err
-	}
-	return report.KindSummaryTable(cells).Render(os.Stdout)
 }
 
 func writeReport(out string, instr uint64) (err error) {

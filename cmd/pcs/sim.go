@@ -54,7 +54,7 @@ func simCommand() *cli.Command {
 			fs.StringVar(&timeline, "timeline", "", "with -bench: write the DPCS policy timeline to this JSONL file")
 			fs.IntVar(&camp.workers, "workers", runtime.GOMAXPROCS(0), "parallel simulations for the full grid (results are identical at any worker count)")
 			fs.StringVar(&camp.runsRoot, "runs", "", "archive grid campaign records under this directory (e.g. runs)")
-			fs.BoolVar(&camp.trace, "trace", false, "with -runs: record campaign trace spans (spans.jsonl, for pcs report -perfetto/-top)")
+			fs.BoolVar(&camp.trace, "trace", false, "with -runs: record campaign trace spans (spans.jsonl, for pcs report -perfetto)")
 			fs.StringVar(&camp.cacheDir, "cache", "", "content-addressed result cache directory (memoizes grid cells across runs)")
 			prof.register(fs)
 		},

@@ -58,7 +58,7 @@ func sweepCommand() *cli.Command {
 			fs.StringVar(&camp.runsRoot, "runs", "", "archive campaign records under this directory (e.g. runs)")
 			fs.BoolVar(&camp.progress, "progress", false, "log campaign progress to stderr")
 			fs.BoolVar(&camp.timeline, "timeline", false, "with -runs: record per-job DPCS policy timelines (policy-<index>.jsonl)")
-			fs.BoolVar(&camp.trace, "trace", false, "with -runs: record campaign trace spans (spans.jsonl, for pcs report -perfetto/-top)")
+			fs.BoolVar(&camp.trace, "trace", false, "with -runs: record campaign trace spans (spans.jsonl, for pcs report -perfetto)")
 			fs.StringVar(&camp.cacheDir, "cache", "", "content-addressed result cache directory (memoizes study cells across runs)")
 			prof.register(fs)
 		},

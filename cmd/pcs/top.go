@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -52,6 +53,30 @@ func topCommand() *cli.Command {
 			return liveTop(addr, fs.Arg(0), sortKey, topN, interval, once)
 		},
 	}
+}
+
+// renderTopCells renders a run directory's per-cell resource
+// attribution: the top-N cells table plus per-kind totals, joined with
+// per-cell energy from results.jsonl where available.
+func renderTopCells(dir, sortKey string, n int) error {
+	events, err := obs.ReadJobTimeline(filepath.Join(dir, "timeline.jsonl"))
+	if err != nil {
+		return err
+	}
+	cells := report.CellsFromEvents(events)
+	if len(cells) == 0 {
+		return fmt.Errorf("%s: timeline has no terminal job events", dir)
+	}
+	if err := report.AttachEnergyFile(cells, filepath.Join(dir, "results.jsonl")); err != nil {
+		return err
+	}
+	if err := report.SortCells(cells, sortKey); err != nil {
+		return err
+	}
+	if err := report.TopCellsTable(cells, n).Render(os.Stdout); err != nil {
+		return err
+	}
+	return report.KindSummaryTable(cells).Render(os.Stdout)
 }
 
 // liveTop follows a campaign's event stream on a pcs serve instance and

@@ -615,16 +615,13 @@ func (s *System) simulateScalar(ctx context.Context, gen trace.Generator, n uint
 	return nil
 }
 
-// transitionTracer wraps a PolicySink, recording every N-th controller
+// transitionTracer wraps a PolicySink, recording every controller
 // voltage transition as a dpcs.transition instant span under parent.
 // Interval-decision telemetry passes through untouched: spans stay
-// phase-granular, never per-event (transitions are rare; sampling is a
-// belt-and-braces bound for pathological thrashing configurations).
+// phase-granular, never per-event (transitions are rare).
 type transitionTracer struct {
 	inner  obs.PolicySink
 	parent *tracez.Span
-	every  uint64
-	n      uint64
 }
 
 // Record implements obs.PolicySink.
@@ -633,10 +630,6 @@ func (t *transitionTracer) Record(ev obs.PolicyEvent) {
 		t.inner.Record(ev)
 	}
 	if ev.Decision != obs.DecisionTransition {
-		return
-	}
-	t.n++
-	if t.n%t.every != 0 {
 		return
 	}
 	sp := t.parent.Child("dpcs.transition")
@@ -654,8 +647,8 @@ func (sys *System) run(ctx context.Context, gen trace.Generator, opts RunOptions
 	mode := sys.mode
 	parent := tracez.SpanFromContext(ctx)
 	sink := opts.Sink
-	if tr := tracez.FromContext(ctx); tr != nil && parent != nil {
-		sink = &transitionTracer{inner: opts.Sink, parent: parent, every: uint64(tr.TransitionEveryN())}
+	if tracez.FromContext(ctx) != nil && parent != nil {
+		sink = &transitionTracer{inner: opts.Sink, parent: parent}
 	}
 	if sink != nil {
 		sys.SetSink(sink)

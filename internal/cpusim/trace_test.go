@@ -12,10 +12,10 @@ import (
 // TestPhaseSpans runs a traced DPCS simulation and checks the
 // phase-granular span taxonomy: build, tracegen, warmup, measure and
 // energy each appear once as children of the caller's span, and
-// sampled dpcs.transition instants appear when the policy transitions.
+// dpcs.transition instants appear when the policy transitions.
 func TestPhaseSpans(t *testing.T) {
 	var col tracez.Collector
-	tr := tracez.New(&col, tracez.Options{})
+	tr := tracez.New(&col)
 	ctx, root := tr.Start(tracez.ContextWith(context.Background(), tr), "job")
 
 	res, err := RunContext(ctx, ConfigA(), core.DPCS, smallWorkload(), fastOpts())
@@ -56,9 +56,10 @@ func TestPhaseSpans(t *testing.T) {
 	}
 }
 
-// TestTransitionSampling checks TransitionEveryN thins the instant
-// stream without touching the pass-through policy telemetry, and that
-// tracing does not perturb the simulation itself.
+// TestTransitionSampling checks every policy transition is recorded as
+// a dpcs.transition instant (there is no sampling stride) without
+// touching the pass-through policy telemetry, and that tracing does not
+// perturb the simulation itself.
 func TestTransitionSampling(t *testing.T) {
 	run := func(ctx context.Context, sink obs.PolicySink) Result {
 		t.Helper()
@@ -75,7 +76,7 @@ func TestTransitionSampling(t *testing.T) {
 
 	var spans tracez.Collector
 	var events obs.Collector
-	tr := tracez.New(&spans, tracez.Options{TransitionEveryN: 2})
+	tr := tracez.New(&spans)
 	ctx, root := tr.Start(tracez.ContextWith(context.Background(), tr), "job")
 	traced := run(ctx, &events)
 	root.End()
@@ -97,8 +98,8 @@ func TestTransitionSampling(t *testing.T) {
 	if transEvents == 0 {
 		t.Fatal("pass-through sink saw no transition events")
 	}
-	if want := transEvents / 2; instants != want {
-		t.Errorf("every-2 sampling recorded %d instants for %d transitions, want %d", instants, transEvents, want)
+	if instants != transEvents {
+		t.Errorf("recorded %d instants for %d transitions, want one each", instants, transEvents)
 	}
 }
 

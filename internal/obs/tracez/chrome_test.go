@@ -12,7 +12,7 @@ import (
 // per instant span, and thread-name metadata for seen workers.
 func TestWriteChromeTrace(t *testing.T) {
 	var c Collector
-	tr := New(&c, Options{})
+	tr := New(&c)
 	ctx, root := tr.Start(context.Background(), "campaign")
 	_, job := tr.Start(ctx, "job")
 	job.SetInt("job", 5)

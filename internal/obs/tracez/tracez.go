@@ -17,7 +17,7 @@
 //
 // Spans are phase-granular, never per-instruction: the simulator's
 // instruction loop is untouched; only phase boundaries (warmup,
-// measurement, energy rollup) and sampled DPCS transition instants are
+// measurement, energy rollup) and DPCS transition instants are
 // recorded.
 package tracez
 
@@ -36,7 +36,7 @@ import (
 // FileName is the span sidecar's name inside a run directory.
 const FileName = "spans.jsonl"
 
-// KindInstant marks a zero-duration point event (a sampled DPCS
+// KindInstant marks a zero-duration point event (a DPCS
 // transition, for example) rather than an interval.
 const KindInstant = "instant"
 
@@ -66,35 +66,22 @@ type Span struct {
 	start  time.Time // monotonic anchor for DurNS
 }
 
-// Options configure a Tracer.
-type Options struct {
-	// TransitionEveryN samples DPCS transition instant events: record
-	// every Nth transition per job. <= 1 records all of them. Phase
-	// spans are never sampled — there are only a handful per job.
-	TransitionEveryN int
-}
-
 // Tracer creates spans and delivers finished ones to its Sink. Safe
 // for concurrent use; a nil *Tracer is a valid no-op tracer.
 type Tracer struct {
 	sink  Sink
 	trace string
 	seq   atomic.Uint64
-	opts  Options
 }
 
 // traceSeq disambiguates tracers created within the same nanosecond.
 var traceSeq atomic.Uint64
 
 // New returns a tracer delivering finished spans to sink.
-func New(sink Sink, opts Options) *Tracer {
-	if opts.TransitionEveryN < 1 {
-		opts.TransitionEveryN = 1
-	}
+func New(sink Sink) *Tracer {
 	return &Tracer{
 		sink:  sink,
 		trace: fmt.Sprintf("%x-%x", time.Now().UnixNano(), traceSeq.Add(1)),
-		opts:  opts,
 	}
 }
 
@@ -104,15 +91,6 @@ func (t *Tracer) TraceID() string {
 		return ""
 	}
 	return t.trace
-}
-
-// TransitionEveryN returns the configured transition sampling stride
-// (>= 1). Nil-safe; a nil tracer reports 1.
-func (t *Tracer) TransitionEveryN() int {
-	if t == nil {
-		return 1
-	}
-	return t.opts.TransitionEveryN
 }
 
 func (t *Tracer) newSpan(parent, name string) *Span {
@@ -220,7 +198,7 @@ func (sp *Span) End() {
 }
 
 // EndInstant marks the span as a point event (zero duration, Kind
-// "instant") and delivers it. Use for sampled occurrences like DPCS
+// "instant") and delivers it. Use for point occurrences like DPCS
 // transitions where the duration is meaningless at span granularity.
 func (sp *Span) EndInstant() {
 	if sp == nil {

@@ -11,7 +11,7 @@ import (
 // chain and attributes survive to the sink.
 func TestSpanTreeAndAttrs(t *testing.T) {
 	var c Collector
-	tr := New(&c, Options{})
+	tr := New(&c)
 	ctx := ContextWith(context.Background(), tr)
 	if FromContext(ctx) != tr {
 		t.Fatal("FromContext did not return the installed tracer")
@@ -83,9 +83,6 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	if tr.StartRoot("r") != nil {
 		t.Fatal("nil tracer StartRoot must be nil")
 	}
-	if got := tr.TransitionEveryN(); got != 1 {
-		t.Fatalf("nil tracer TransitionEveryN = %d, want 1", got)
-	}
 	if SpanFromContext(ctx) != nil {
 		t.Fatal("SpanFromContext on empty context should be nil")
 	}
@@ -122,7 +119,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := New(sink, Options{})
+	tr := New(sink)
 	_, sp := tr.Start(context.Background(), "a")
 	sp.SetStr("k", "v")
 	sp.End()
@@ -169,7 +166,7 @@ func TestJSONLConcurrentRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := New(sink, Options{})
+	tr := New(sink)
 	const workers, per = 8, 50
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -203,20 +200,17 @@ func TestJSONLConcurrentRecord(t *testing.T) {
 func TestTeeFansOut(t *testing.T) {
 	var a, b Collector
 	n := 0
-	tr := New(Tee(&a, &b, SinkFunc(func(*Span) { n++ })), Options{TransitionEveryN: 8})
+	tr := New(Tee(&a, &b, SinkFunc(func(*Span) { n++ })))
 	tr.StartRoot("x").End()
 	if len(a.Snapshot()) != 1 || len(b.Snapshot()) != 1 || n != 1 {
 		t.Fatalf("tee delivery a=%d b=%d fn=%d", len(a.Snapshot()), len(b.Snapshot()), n)
-	}
-	if tr.TransitionEveryN() != 8 {
-		t.Fatalf("TransitionEveryN = %d, want 8", tr.TransitionEveryN())
 	}
 }
 
 // TestTraceIDsDistinct checks two tracers created back-to-back get
 // distinct trace IDs even within one nanosecond tick.
 func TestTraceIDsDistinct(t *testing.T) {
-	a, b := New(nil, Options{}), New(nil, Options{})
+	a, b := New(nil), New(nil)
 	if a.TraceID() == b.TraceID() || a.TraceID() == "" {
 		t.Fatalf("trace IDs %q vs %q", a.TraceID(), b.TraceID())
 	}

@@ -12,7 +12,7 @@ import (
 
 // CellUsage is one job's resource attribution, assembled from the
 // campaign timeline (and optionally results.jsonl for energy): the
-// row type behind `pcs report -top` and `pcs top`.
+// row type behind `pcs top`.
 type CellUsage struct {
 	Index  int
 	Kind   string

@@ -6,12 +6,11 @@
 // incremental, and a shared pcs serve instance deduplicates work across
 // users.
 //
-// The store is a thin accounting layer (hit/miss/put counters, byte
-// totals) over a pluggable Backend. The only backend today is a local
-// sharded directory (see DirBackend); the interface is deliberately
-// small — Get/Put/Entries/Delete over opaque keys and byte slices — so
-// an S3-compatible object-store backend can drop in later without
-// touching the runner integration.
+// The store is one concrete type (Store) over a local sharded
+// directory: Get/Put on opaque keys and byte slices, a directory walk
+// for Stats and GC, and a TTL-bounded walk for the server's size gauge.
+// Hit and miss counts are the server's (resultstore_hits_total /
+// resultstore_misses_total at /metrics), not the store's.
 //
 // Keys must be stable across processes, architectures and JSON field
 // order, which is why hashing goes through CanonicalJSON rather than

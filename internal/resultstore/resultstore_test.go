@@ -117,8 +117,9 @@ func TestKeySensitivity(t *testing.T) {
 	}
 }
 
-func TestDirBackendRoundTrip(t *testing.T) {
-	b, err := OpenDir(filepath.Join(t.TempDir(), "cache"))
+func TestStoreRoundTrip(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,14 +128,14 @@ func TestDirBackendRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, ok, err := b.Get(key); err != nil || ok {
+	if _, ok, err := s.Get(key); err != nil || ok {
 		t.Fatalf("empty store Get: ok=%v err=%v", ok, err)
 	}
 	want := []byte(`{"result":1}`)
-	if err := b.Put(key, want); err != nil {
+	if err := s.Put(key, want); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := b.Get(key)
+	got, ok, err := s.Get(key)
 	if err != nil || !ok {
 		t.Fatalf("Get after Put: ok=%v err=%v", ok, err)
 	}
@@ -143,35 +144,38 @@ func TestDirBackendRoundTrip(t *testing.T) {
 	}
 
 	// Stored under the sharded path.
-	if _, err := os.Stat(filepath.Join(b.Root(), key[:2], key+".json")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, key[:2], key+".json")); err != nil {
 		t.Errorf("sharded file missing: %v", err)
 	}
 
 	// Overwrite is fine and idempotent.
-	if err := b.Put(key, want); err != nil {
+	if err := s.Put(key, want); err != nil {
 		t.Errorf("overwrite: %v", err)
 	}
 
-	if err := b.Delete(key); err != nil {
+	if err := s.delete(key); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := b.Get(key); ok {
-		t.Error("Get after Delete: still present")
+	if _, ok, _ := s.Get(key); ok {
+		t.Error("Get after delete: still present")
 	}
-	if err := b.Delete(key); err != nil {
-		t.Errorf("double Delete: %v", err)
+	if err := s.delete(key); err != nil {
+		t.Errorf("double delete: %v", err)
 	}
 
 	// Malformed keys are rejected, not turned into path traversal.
 	for _, bad := range []string{"", "ab", "../../etc/passwd", "a/b", "a.b.c"} {
-		if err := b.Put(bad, []byte("x")); err == nil {
+		if err := s.Put(bad, []byte("x")); err == nil {
 			t.Errorf("Put(%q): want error", bad)
 		}
 	}
+	if _, err := Open(""); err == nil {
+		t.Error("Open(\"\"): want error")
+	}
 }
 
-func TestDirBackendConcurrentWriters(t *testing.T) {
-	b, err := OpenDir(t.TempDir())
+func TestStoreConcurrentWriters(t *testing.T) {
+	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,32 +190,35 @@ func TestDirBackendConcurrentWriters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 20; j++ {
-				if err := b.Put(key, val); err != nil {
+				if err := s.Put(key, val); err != nil {
 					t.Errorf("Put: %v", err)
 					return
 				}
-				got, ok, err := b.Get(key)
+				got, ok, err := s.Get(key)
 				if err != nil || !ok || string(got) != string(val) {
 					t.Errorf("Get: ok=%v err=%v got=%q", ok, err, got)
 					return
 				}
+				// Scrapes race the writers as /metrics does.
+				s.ScrapeSizeBytes()
 			}
 		}()
 	}
 	wg.Wait()
 
 	// No stray temp files left behind.
-	infos, err := b.Entries()
+	st, err := s.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(infos) != 1 {
-		t.Errorf("entries: got %d want 1", len(infos))
+	if st.Entries != 1 || st.Bytes != int64(len(val)) {
+		t.Errorf("stats: entries=%d bytes=%d, want 1/%d", st.Entries, st.Bytes, len(val))
 	}
 }
 
-func TestStoreStatsAndCounters(t *testing.T) {
-	s, err := Open(filepath.Join(t.TempDir(), "c"))
+func TestStoreStats(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "c")
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,20 +245,14 @@ func TestStoreStatsAndCounters(t *testing.T) {
 	if st.Entries != 2 || st.Bytes != 15 {
 		t.Errorf("stats: entries=%d bytes=%d, want 2/15", st.Entries, st.Bytes)
 	}
-	if st.Hits != 1 || st.Misses != 1 || st.Puts != 2 {
-		t.Errorf("counters: hits=%d misses=%d puts=%d, want 1/1/2", st.Hits, st.Misses, st.Puts)
-	}
-	if s.SizeBytes() != 15 {
-		t.Errorf("SizeBytes: got %d want 15", s.SizeBytes())
-	}
 
-	// Re-opening primes accounting from disk.
-	s2, err := Open(s.backend.(*DirBackend).Root())
+	// A re-opened store sees the same footprint.
+	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.SizeBytes() != 15 {
-		t.Errorf("reopened SizeBytes: got %d want 15", s2.SizeBytes())
+	if got := s2.ScrapeSizeBytes(); got != 15 {
+		t.Errorf("reopened ScrapeSizeBytes: got %d want 15", got)
 	}
 }
 
@@ -313,11 +314,7 @@ func TestStoreGC(t *testing.T) {
 
 func TestScrapeSizeBytesRefresh(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
-	b, err := OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewStore(b)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,20 +322,22 @@ func TestScrapeSizeBytesRefresh(t *testing.T) {
 	if err := s.Put(key1, []byte("0123456789")); err != nil {
 		t.Fatal(err)
 	}
+	// The first scrape always walks.
 	if got := s.ScrapeSizeBytes(); got != 10 {
 		t.Fatalf("after Put: ScrapeSizeBytes=%d want 10", got)
 	}
 
-	// A second process writes to the same directory: the plain gauge
-	// value drifts, a TTL-expired scrape re-walks and catches up.
-	key2, _ := Key("cpusim", []byte(`{"a":2}`), 2, "test")
-	if err := b.Put(key2, []byte("01234")); err != nil {
+	// A second store on the same directory stands in for another
+	// process: within the TTL the scrape serves the walked value, a
+	// TTL-expired scrape re-walks and catches up.
+	other, err := Open(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.SizeBytes(); got != 10 {
-		t.Fatalf("SizeBytes should not see external writes: %d", got)
+	key2, _ := Key("cpusim", []byte(`{"a":2}`), 2, "test")
+	if err := other.Put(key2, []byte("01234")); err != nil {
+		t.Fatal(err)
 	}
-	// Within the TTL the scrape serves the cached value.
 	if got := s.ScrapeSizeBytes(); got != 10 {
 		t.Fatalf("scrape within TTL: %d want 10", got)
 	}
@@ -346,7 +345,36 @@ func TestScrapeSizeBytesRefresh(t *testing.T) {
 	if got := s.ScrapeSizeBytes(); got != 15 {
 		t.Fatalf("scrape after TTL: %d want 15", got)
 	}
-	if got := s.entries.Load(); got != 2 {
-		t.Fatalf("entries after re-walk: %d want 2", got)
+}
+
+// TestScrapeMatchesWalkAfterOverwrite checks the scraped gauge never
+// counts an overwritten entry twice: once a scrape has walked the
+// store, three more Puts of the same key leave the footprint — and so
+// the next scrape, even within the TTL — at a fresh walk's total.
+func TestScrapeMatchesWalkAfterOverwrite(t *testing.T) {
+	s, err := Open(filepath.Join(t.TempDir(), "cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, _ := Key("cpusim", []byte(`{"a":1}`), 1, "test")
+	val := []byte("0123456789")
+	if err := s.Put(key, val); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.ScrapeSizeBytes(); got != 10 {
+		t.Fatalf("first scrape: %d want 10", got)
+	}
+	for i := 0; i < 3; i++ {
+		if err := s.Put(key, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := s.ScrapeSizeBytes()
+	st, err := s.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != st.Bytes || st.Bytes != 10 || st.Entries != 1 {
+		t.Fatalf("ScrapeSizeBytes=%d, walk %+v; want 10 bytes in 1 entry", got, st)
 	}
 }

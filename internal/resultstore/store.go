@@ -1,166 +1,214 @@
 package resultstore
 
 import (
+	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Store is the accounting layer over a Backend: it tracks hit/miss/put
-// counters and an approximate byte total for metrics, and implements
-// the runner's ResultCache contract (Get/Put on string keys). All
-// methods are safe for concurrent use.
+// DefaultDirName is the conventional local cache directory (relative to
+// the working directory) that `pcs cache` administers when no explicit
+// -cache is given. It is listed in .gitignore: memoized results are
+// derived data and never belong in commits.
+const DefaultDirName = ".pcs-cache"
+
+// Store keeps entries as files under a local directory, sharded by the
+// first two hex digits of the key (root/ab/abcdef....json) so no single
+// directory grows unboundedly on large campaigns. All methods are safe
+// for concurrent use.
+//
+// Writes are write-to-temp-then-rename in the shard directory, so
+// concurrent writers — multiple campaign workers, or several pcs
+// processes sharing one cache — never expose partial values: rename is
+// atomic on POSIX filesystems, and both writers of one key write the
+// same deterministic bytes anyway.
 type Store struct {
-	backend Backend
+	root string
 
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	puts      atomic.Uint64
-	putErrors atomic.Uint64
-	getErrors atomic.Uint64
-	// bytes/entries mirror the backend footprint; primed from Entries
-	// at construction and maintained on Put/GC. Concurrent external
-	// writers make these approximate, which is fine for a gauge.
-	bytes   atomic.Int64
-	entries atomic.Int64
-
-	// Scrape refresh state: ScrapeSizeBytes re-walks the backend at most
-	// once per scrapeTTL so the gauge converges on the true footprint
-	// (picking up external writers and GC in other processes) without
-	// paying a directory walk on every scrape.
-	scrapeMu   sync.Mutex
-	scrapeLast time.Time
-	scrapeTTL  time.Duration
+	// Scrape state: ScrapeSizeBytes walks the directory at most once
+	// per scrapeTTL and serves scrapeBytes in between.
+	scrapeMu    sync.Mutex
+	scrapeLast  time.Time
+	scrapeBytes int64
+	scrapeTTL   time.Duration
 }
 
 // defaultScrapeTTL bounds how often ScrapeSizeBytes re-walks the
-// backend. Prometheus-style scrapers typically poll every 10-60 s, so a
-// 10 s floor means at most one walk per scrape interval.
+// directory. Prometheus-style scrapers typically poll every 10-60 s, so
+// a 10 s floor means at most one walk per scrape interval.
 const defaultScrapeTTL = 10 * time.Second
 
-// Open opens (creating if needed) a Store over a local directory
-// backend — the `-cache DIR` form every pcs subcommand accepts.
+// Open creates (if needed) and opens the store rooted at dir — the
+// `-cache DIR` form every pcs subcommand accepts.
 func Open(dir string) (*Store, error) {
-	b, err := OpenDir(dir)
-	if err != nil {
-		return nil, err
+	if dir == "" {
+		return nil, fmt.Errorf("resultstore: empty cache directory")
 	}
-	return NewStore(b)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("resultstore: create cache dir: %w", err)
+	}
+	return &Store{root: dir, scrapeTTL: defaultScrapeTTL}, nil
 }
 
-// NewStore wraps an arbitrary backend, priming the size accounting
-// from its current contents.
-func NewStore(b Backend) (*Store, error) {
-	s := &Store{backend: b, scrapeTTL: defaultScrapeTTL}
-	infos, err := b.Entries()
-	if err != nil {
-		return nil, err
+// path maps a key to its sharded file path.
+func (s *Store) path(key string) (string, error) {
+	if len(key) < 3 || strings.ContainsAny(key, "/\\.") {
+		return "", fmt.Errorf("resultstore: malformed key %q", key)
 	}
-	var bytes int64
-	for _, e := range infos {
-		bytes += e.Bytes
-	}
-	s.bytes.Store(bytes)
-	s.entries.Store(int64(len(infos)))
-	return s, nil
+	return filepath.Join(s.root, key[:2], key+".json"), nil
 }
 
-// Get looks a key up, counting the hit or miss. Backend errors count as
-// misses (and are reported) so a flaky cache degrades to recomputation
+// Get reads one entry, reporting whether the key exists. The runner
+// treats errors as misses, so a flaky cache degrades to recomputation
 // rather than failing campaigns.
 func (s *Store) Get(key string) ([]byte, bool, error) {
-	data, ok, err := s.backend.Get(key)
+	p, err := s.path(key)
 	if err != nil {
-		s.getErrors.Add(1)
-		s.misses.Add(1)
 		return nil, false, err
 	}
-	if ok {
-		s.hits.Add(1)
-	} else {
-		s.misses.Add(1)
+	data, err := os.ReadFile(p)
+	if os.IsNotExist(err) {
+		return nil, false, nil
 	}
-	return data, ok, nil
+	if err != nil {
+		return nil, false, fmt.Errorf("resultstore: read %s: %w", key, err)
+	}
+	return data, true, nil
 }
 
-// Put stores a computed result. Errors are counted and returned; the
-// runner treats them as best-effort (a failed Put never fails the job).
+// Put stores a computed result atomically, overwriting any previous
+// value under key (which is how a stale, undecodable entry is
+// repaired): temp file in the shard directory, then rename over the
+// final name. The runner treats errors as best-effort (a failed Put
+// never fails the job).
 func (s *Store) Put(key string, data []byte) error {
-	if err := s.backend.Put(key, data); err != nil {
-		s.putErrors.Add(1)
+	p, err := s.path(key)
+	if err != nil {
 		return err
 	}
-	s.puts.Add(1)
-	s.bytes.Add(int64(len(data)))
-	s.entries.Add(1)
+	shard := filepath.Dir(p)
+	if err := os.MkdirAll(shard, 0o755); err != nil {
+		return fmt.Errorf("resultstore: create shard: %w", err)
+	}
+	tmp, err := os.CreateTemp(shard, ".put-*")
+	if err != nil {
+		return fmt.Errorf("resultstore: temp file: %w", err)
+	}
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return fmt.Errorf("resultstore: write %s: %w", key, err)
+	}
+	if err := tmp.Close(); err != nil {
+		os.Remove(tmp.Name())
+		return fmt.Errorf("resultstore: close %s: %w", key, err)
+	}
+	if err := os.Rename(tmp.Name(), p); err != nil {
+		os.Remove(tmp.Name())
+		return fmt.Errorf("resultstore: commit %s: %w", key, err)
+	}
 	return nil
 }
 
-// SizeBytes returns the approximate stored byte total; the server's
-// resultstore_bytes gauge reads it at scrape time.
-func (s *Store) SizeBytes() int64 { return s.bytes.Load() }
+// entryInfo describes one stored entry.
+type entryInfo struct {
+	key   string
+	bytes int64
+	// modTime is when the entry was last written; GC evicts oldest
+	// first.
+	modTime time.Time
+}
 
-// ScrapeSizeBytes is SizeBytes with freshness: at most once per TTL it
-// re-walks the backend and re-primes the byte/entry accounting, so a
-// scraped gauge tracks external writers and cross-process GC instead of
-// drifting for the life of the server. Walk errors fall back to the
-// last known value — a metrics scrape must never fail a campaign.
-func (s *Store) ScrapeSizeBytes() int64 {
-	s.scrapeMu.Lock()
-	stale := time.Since(s.scrapeLast) >= s.scrapeTTL
-	if stale {
-		s.scrapeLast = time.Now()
-	}
-	s.scrapeMu.Unlock()
-	if stale {
-		if infos, err := s.backend.Entries(); err == nil {
-			var bytes int64
-			for _, e := range infos {
-				bytes += e.Bytes
+// entries walks the shard directories.
+func (s *Store) entries() ([]entryInfo, error) {
+	var out []entryInfo
+	err := filepath.WalkDir(s.root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			// A shard vanishing mid-walk (concurrent GC) is not an error.
+			if os.IsNotExist(err) {
+				return nil
 			}
-			s.bytes.Store(bytes)
-			s.entries.Store(int64(len(infos)))
+			return err
 		}
+		name := d.Name()
+		if d.IsDir() || !strings.HasSuffix(name, ".json") || strings.HasPrefix(name, ".") {
+			return nil
+		}
+		info, err := d.Info()
+		if err != nil {
+			if os.IsNotExist(err) {
+				return nil
+			}
+			return err
+		}
+		out = append(out, entryInfo{
+			key:     strings.TrimSuffix(name, ".json"),
+			bytes:   info.Size(),
+			modTime: info.ModTime(),
+		})
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("resultstore: walk cache: %w", err)
 	}
-	return s.bytes.Load()
+	return out, nil
 }
 
-// Stats is a point-in-time snapshot of the store. Entries/Bytes come
-// from an exact backend walk; the counters cover this process's
-// lifetime.
+// delete removes one entry (and opportunistically its shard directory
+// once empty; failure to remove the now-empty shard is ignored).
+// Deleting a missing key is not an error.
+func (s *Store) delete(key string) error {
+	p, err := s.path(key)
+	if err != nil {
+		return err
+	}
+	if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("resultstore: delete %s: %w", key, err)
+	}
+	os.Remove(filepath.Dir(p))
+	return nil
+}
+
+// Stats is a point-in-time snapshot of the store's footprint.
 type Stats struct {
-	Entries   int    `json:"entries"`
-	Bytes     int64  `json:"bytes"`
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Puts      uint64 `json:"puts"`
-	PutErrors uint64 `json:"put_errors"`
-	GetErrors uint64 `json:"get_errors"`
+	Entries int   `json:"entries"`
+	Bytes   int64 `json:"bytes"`
 }
 
-// Stats walks the backend and returns exact entry/byte totals plus the
-// session counters (also re-priming the gauge accounting).
+// Stats walks the directory and returns exact entry/byte totals.
 func (s *Store) Stats() (Stats, error) {
-	infos, err := s.backend.Entries()
+	infos, err := s.entries()
 	if err != nil {
 		return Stats{}, err
 	}
-	var bytes int64
+	st := Stats{Entries: len(infos)}
 	for _, e := range infos {
-		bytes += e.Bytes
+		st.Bytes += e.bytes
 	}
-	s.bytes.Store(bytes)
-	s.entries.Store(int64(len(infos)))
-	return Stats{
-		Entries:   len(infos),
-		Bytes:     bytes,
-		Hits:      s.hits.Load(),
-		Misses:    s.misses.Load(),
-		Puts:      s.puts.Load(),
-		PutErrors: s.putErrors.Load(),
-		GetErrors: s.getErrors.Load(),
-	}, nil
+	return st, nil
+}
+
+// ScrapeSizeBytes returns the stored byte total for the server's
+// resultstore_bytes gauge. The first call walks the directory; later
+// calls re-walk at most once per TTL and serve the last walk's figure
+// in between, so the gauge tracks external writers and cross-process GC
+// without a directory walk on every scrape. Walk errors fall back to
+// the last known value — a metrics scrape must never fail a campaign.
+func (s *Store) ScrapeSizeBytes() int64 {
+	s.scrapeMu.Lock()
+	defer s.scrapeMu.Unlock()
+	if s.scrapeLast.IsZero() || time.Since(s.scrapeLast) >= s.scrapeTTL {
+		s.scrapeLast = time.Now()
+		if st, err := s.Stats(); err == nil {
+			s.scrapeBytes = st.Bytes
+		}
+	}
+	return s.scrapeBytes
 }
 
 // GCOptions bound a collection pass. Zero values mean "no bound on this
@@ -186,14 +234,14 @@ type GCResult struct {
 // Deleting a key another process already removed is not an error, so
 // concurrent GC passes are safe (if wasteful).
 func (s *Store) GC(opts GCOptions) (GCResult, error) {
-	infos, err := s.backend.Entries()
+	infos, err := s.entries()
 	if err != nil {
 		return GCResult{}, err
 	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].ModTime.Before(infos[j].ModTime) })
+	sort.Slice(infos, func(i, j int) bool { return infos[i].modTime.Before(infos[j].modTime) })
 	var total int64
 	for _, e := range infos {
-		total += e.Bytes
+		total += e.bytes
 	}
 	now := opts.Now
 	if now.IsZero() {
@@ -201,7 +249,7 @@ func (s *Store) GC(opts GCOptions) (GCResult, error) {
 	}
 	res := GCResult{Scanned: len(infos), RemainingBytes: total}
 	for _, e := range infos {
-		tooOld := opts.MaxAge > 0 && now.Sub(e.ModTime) > opts.MaxAge
+		tooOld := opts.MaxAge > 0 && now.Sub(e.modTime) > opts.MaxAge
 		tooBig := opts.MaxBytes > 0 && res.RemainingBytes > opts.MaxBytes
 		if !tooOld && !tooBig {
 			if opts.MaxAge <= 0 {
@@ -211,14 +259,12 @@ func (s *Store) GC(opts GCOptions) (GCResult, error) {
 			}
 			continue
 		}
-		if err := s.backend.Delete(e.Key); err != nil {
+		if err := s.delete(e.key); err != nil {
 			return res, err
 		}
 		res.Removed++
-		res.RemovedBytes += e.Bytes
-		res.RemainingBytes -= e.Bytes
+		res.RemovedBytes += e.bytes
+		res.RemainingBytes -= e.bytes
 	}
-	s.bytes.Store(res.RemainingBytes)
-	s.entries.Store(int64(res.Scanned - res.Removed))
 	return res, nil
 }

@@ -75,22 +75,23 @@ type manifest struct {
 	Specs    []Spec   `json:"specs"`
 }
 
+// artifactStore writes a campaign's run directory. It only writes:
+// the lifecycle events it appends to timeline.jsonl are built and
+// stamped by Run.
 type artifactStore struct {
-	dir      string
-	campaign string
+	dir string
 	// c, workers, codeVersion feed the ledger's manifest entry.
 	c           Campaign
 	workers     int
 	codeVersion string
 
-	// Timeline state. Workers emit events concurrently; the mutex keeps
-	// lines whole and the start time anchors the elapsed offsets.
-	tmu   sync.Mutex
-	tf    *os.File
-	tw    *bufio.Writer
-	tenc  *json.Encoder
-	terr  error
-	start time.Time
+	// Timeline file. Workers emit events concurrently; the mutex keeps
+	// lines whole.
+	tmu  sync.Mutex
+	tf   *os.File
+	tw   *bufio.Writer
+	tenc *json.Encoder
+	terr error
 
 	// spans is the spans.jsonl sink, nil unless tracing is enabled.
 	spans *tracez.JSONL
@@ -126,10 +127,8 @@ func newArtifactStore(dir string, c Campaign, workers int, codeVersion string, t
 		return nil, fmt.Errorf("runner: timeline.jsonl: %w", err)
 	}
 	a := &artifactStore{
-		dir: dir, campaign: c.Name,
-		c: c, workers: workers, codeVersion: codeVersion,
-		tf: tf, start: time.Now(),
-		sidecars: sidecars,
+		dir: dir, c: c, workers: workers, codeVersion: codeVersion,
+		tf: tf, sidecars: sidecars,
 	}
 	a.tw = bufio.NewWriter(tf)
 	a.tenc = json.NewEncoder(a.tw)
@@ -140,7 +139,6 @@ func newArtifactStore(dir string, c Campaign, workers int, codeVersion string, t
 			return nil, fmt.Errorf("runner: %s: %w", tracez.FileName, err)
 		}
 	}
-	a.event(obs.JobEvent{Type: obs.EventCampaignStarted, Campaign: c.Name, Index: -1})
 	return a, nil
 }
 
@@ -167,56 +165,21 @@ func (a *artifactStore) SyncArtifacts() error {
 	return err
 }
 
-// event appends one timeline line, stamping the elapsed offset. Write
-// errors latch and surface from finish.
-func (a *artifactStore) event(ev obs.JobEvent) {
+// writeEvent appends one timeline line. Write errors latch and surface
+// from finish.
+func (a *artifactStore) writeEvent(ev obs.JobEvent) {
 	a.tmu.Lock()
 	defer a.tmu.Unlock()
 	if a.terr != nil || a.tf == nil {
 		return
 	}
-	ev.ElapsedMS = float64(time.Since(a.start).Microseconds()) / 1e3
 	if err := a.tenc.Encode(&ev); err != nil {
 		a.terr = fmt.Errorf("runner: encode timeline event: %w", err)
 	}
 }
 
-// jobStarted records a worker picking up job i.
-func (a *artifactStore) jobStarted(i int, spec Spec) {
-	a.event(obs.JobEvent{Type: obs.EventJobStarted, Index: i, Kind: spec.Kind, Name: spec.Name})
-}
-
-// jobFinished records a job reaching a terminal state.
-func (a *artifactStore) jobFinished(r JobResult) {
-	typ := obs.EventJobDone
-	switch r.Status {
-	case StatusFailed:
-		typ = obs.EventJobFailed
-	case StatusCancelled:
-		typ = obs.EventJobCancelled
-	}
-	a.event(obs.JobEvent{
-		Type:       typ,
-		Index:      r.Index,
-		Kind:       r.Kind,
-		Name:       r.Name,
-		Error:      r.Error,
-		DurationMS: float64(r.Duration.Microseconds()) / 1e3,
-		Cached:     r.Cached,
-		Resources:  r.Resources,
-	})
-}
-
-// closeTimeline writes the closing event and flushes the file.
-func (a *artifactStore) closeTimeline(res *CampaignResult) error {
-	state := "done"
-	if res.Failed > 0 {
-		state = "failed"
-	}
-	if res.Cancelled > 0 {
-		state = "cancelled"
-	}
-	a.event(obs.JobEvent{Type: obs.EventCampaignFinished, Campaign: a.campaign, Index: -1, State: state})
+// closeTimeline flushes and closes the timeline file.
+func (a *artifactStore) closeTimeline() error {
 	a.tmu.Lock()
 	defer a.tmu.Unlock()
 	if err := a.tw.Flush(); err != nil && a.terr == nil {
@@ -240,7 +203,7 @@ func (a *artifactStore) closeTimeline(res *CampaignResult) error {
 // is already hashed by then — so it reaches only live sinks (the
 // server's span stream).
 func (a *artifactStore) finish(results []JobResult, res *CampaignResult, tracer *tracez.Tracer) error {
-	if err := a.closeTimeline(res); err != nil {
+	if err := a.closeTimeline(); err != nil {
 		return err
 	}
 	wspan := tracer.StartRoot("results.write")

@@ -2,7 +2,10 @@
 // a campaign — a slice of self-describing experiment specs — across a
 // pool of workers, with deterministic per-job seeding, panic isolation,
 // cancellation, progress reporting, and an optional JSON-lines artifact
-// store under runs/<timestamp>/.
+// store under runs/<timestamp>/. Run is the only producer of a
+// campaign's lifecycle events (obs.JobEvent): it stamps each once and
+// writes it to timeline.jsonl and Options.OnEvent, which pcs serve's
+// /events stream and campaign state are built from.
 //
 // Determinism: each job's seed is derived from the campaign seed and the
 // job's index with stats.Derive, so an 8-worker run produces result
@@ -36,16 +39,6 @@ import (
 	"repro/internal/resultstore"
 	"repro/internal/stats"
 )
-
-// ResultCache is the runner's view of a content-addressed result
-// store: opaque keys to serialized output documents.
-// *resultstore.Store implements it; the interface keeps the runner
-// independent of the store's backends. Both methods must be safe for
-// concurrent use.
-type ResultCache interface {
-	Get(key string) ([]byte, bool, error)
-	Put(key string, data []byte) error
-}
 
 // Spec is one self-describing experiment: a registered kind plus its
 // JSON-encoded parameters. Specs are the unit of work submitted to the
@@ -127,7 +120,11 @@ type Progress struct {
 // Completed returns how many jobs have reached a terminal state.
 func (p Progress) Completed() int { return p.Done + p.Failed + p.Cancelled }
 
-// Options configure one campaign execution.
+// Options configure one campaign execution. The callbacks observe the
+// run without owning any of it: OnEvent sees the lifecycle stream Run
+// writes to timeline.jsonl, OnResult and OnProgress see each job's
+// record and the running counts, and Cache is the one result store
+// type (*resultstore.Store).
 type Options struct {
 	// Workers is the pool size; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
@@ -141,9 +138,13 @@ type Options struct {
 	// OnResult, when non-nil, is called (serialised) with each job's
 	// result as it completes, in completion order.
 	OnResult func(JobResult)
-	// OnJobStart, when non-nil, is called (serialised) as a worker picks
-	// up each job, before its kind function runs.
-	OnJobStart func(index int)
+	// OnEvent, when non-nil, receives every campaign lifecycle event
+	// (serialised, in timeline.jsonl order): campaign_started, each
+	// job's job_started and terminal event, then campaign_finished,
+	// whose State is CampaignResult.State. Run is the only producer of
+	// these events; each is stamped once and written to timeline.jsonl
+	// (with an ArtifactDir) and handed to OnEvent as the same value.
+	OnEvent func(obs.JobEvent)
 	// JobContext, when non-nil, decorates each job's context before the
 	// kind function sees it — e.g. attaching a per-job telemetry sink
 	// with obs.ContextWithPolicySink.
@@ -154,7 +155,7 @@ type Options struct {
 	// Only kinds registered with a DecodeOutput (see KindInfo) ever hit
 	// the cache. Cache failures degrade to recomputation, never to
 	// campaign failure.
-	Cache ResultCache
+	Cache *resultstore.Store
 	// CodeVersion is the build identity mixed into every cache key (a
 	// rebuild with different code must miss) and recorded in the run
 	// ledger. Empty is allowed but conflates builds; the pcs CLI always
@@ -207,6 +208,19 @@ type CampaignResult struct {
 	ArtifactDir string        `json:"artifact_dir,omitempty"`
 }
 
+// State is the campaign's terminal state, carried by the
+// campaign_finished event: "cancelled" if any job was cancelled, else
+// "failed" if any job failed, else "done".
+func (r *CampaignResult) State() string {
+	switch {
+	case r.Cancelled > 0:
+		return "cancelled"
+	case r.Failed > 0:
+		return "failed"
+	}
+	return "done"
+}
+
 // JobSeed returns job i's derived seed under campaign seed.
 func JobSeed(campaignSeed uint64, index int) uint64 {
 	return stats.Derive(campaignSeed, uint64(index))
@@ -227,13 +241,7 @@ func Run(ctx context.Context, reg *Registry, c Campaign, opts Options) (*Campaig
 			return nil, fmt.Errorf("runner: job %d: unknown kind %q (registered: %v)", i, s.Kind, reg.Kinds())
 		}
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(c.Jobs) {
-		workers = len(c.Jobs)
-	}
+	workers := poolSize(opts.Workers, len(c.Jobs))
 
 	var store *artifactStore
 	if opts.ArtifactDir != "" {
@@ -275,13 +283,26 @@ func Run(ctx context.Context, reg *Registry, c Campaign, opts Options) (*Campaig
 		case 0:
 			// Tracing on but nowhere to deliver: leave the tracer nil.
 		case 1:
-			tracer = tracez.New(sinks[0], tracez.Options{})
+			tracer = tracez.New(sinks[0])
 		default:
-			tracer = tracez.New(tracez.Tee(sinks...), tracez.Options{})
+			tracer = tracez.New(tracez.Tee(sinks...))
 		}
 	}
 
+	// emit stamps one lifecycle event and delivers it to timeline.jsonl
+	// and OnEvent. Job events are emitted under mu, so delivery order is
+	// file order and offsets never run backwards.
 	start := time.Now()
+	emit := func(ev obs.JobEvent) {
+		ev.ElapsedMS = float64(time.Since(start).Microseconds()) / 1e3
+		if store != nil {
+			store.writeEvent(ev)
+		}
+		if opts.OnEvent != nil {
+			opts.OnEvent(ev)
+		}
+	}
+	emit(obs.JobEvent{Type: obs.EventCampaignStarted, Campaign: c.Name, Index: -1})
 	results := make([]JobResult, len(c.Jobs))
 	indices := make(chan int)
 	var (
@@ -313,9 +334,7 @@ func Run(ctx context.Context, reg *Registry, c Campaign, opts Options) (*Campaig
 		if opts.OnProgress != nil {
 			opts.OnProgress(prog)
 		}
-		if store != nil {
-			store.jobFinished(r)
-		}
+		emit(jobEvent(r))
 	}
 
 	// The campaign span roots the trace; job spans parent under it via
@@ -342,13 +361,8 @@ func Run(ctx context.Context, reg *Registry, c Campaign, opts Options) (*Campaig
 			for i := range indices {
 				mu.Lock()
 				prog.Running++
-				if opts.OnJobStart != nil {
-					opts.OnJobStart(i)
-				}
+				emit(obs.JobEvent{Type: obs.EventJobStarted, Index: i, Kind: c.Jobs[i].Kind, Name: c.Jobs[i].Name})
 				mu.Unlock()
-				if store != nil {
-					store.jobStarted(i, c.Jobs[i])
-				}
 				if states == nil {
 					states = make(map[string]any)
 				}
@@ -398,6 +412,7 @@ feed:
 		campSpan.SetInt("cancelled", int64(res.Cancelled))
 		campSpan.End()
 	}
+	emit(obs.JobEvent{Type: obs.EventCampaignFinished, Campaign: c.Name, Index: -1, State: res.State()})
 	if store != nil {
 		res.ArtifactDir = store.dir
 		if err := store.finish(results, res, tracer); err != nil {
@@ -408,6 +423,36 @@ feed:
 		return res, err
 	}
 	return res, nil
+}
+
+// poolSize resolves a campaign's worker count: <= 0 means
+// runtime.GOMAXPROCS(0), and a pool never exceeds the job count.
+func poolSize(workers, jobs int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return min(workers, jobs)
+}
+
+// jobEvent is the terminal lifecycle event of a finished job.
+func jobEvent(r JobResult) obs.JobEvent {
+	typ := obs.EventJobDone
+	switch r.Status {
+	case StatusFailed:
+		typ = obs.EventJobFailed
+	case StatusCancelled:
+		typ = obs.EventJobCancelled
+	}
+	return obs.JobEvent{
+		Type:       typ,
+		Index:      r.Index,
+		Kind:       r.Kind,
+		Name:       r.Name,
+		Error:      r.Error,
+		DurationMS: float64(r.Duration.Microseconds()) / 1e3,
+		Cached:     r.Cached,
+		Resources:  r.Resources,
+	}
 }
 
 // runJob executes one job with panic isolation: a panicking kind

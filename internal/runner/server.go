@@ -9,7 +9,6 @@ import (
 	"log/slog"
 	"net/http"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -17,6 +16,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/tracez"
+	"repro/internal/resultstore"
 )
 
 // Server turns the campaign runner into an HTTP job service — the
@@ -55,7 +55,7 @@ type Server struct {
 	// cache, when non-nil, memoizes cell results across campaigns — the
 	// shared-service payoff: two users submitting overlapping sweeps
 	// compute each cell once.
-	cache       ResultCache
+	cache       *resultstore.Store
 	codeVersion string
 	// traceSpans enables per-campaign span tracing: spans.jsonl in the
 	// run directory plus the live GET /campaigns/{id}/spans stream.
@@ -100,7 +100,7 @@ type ServerOptions struct {
 	SpecExpander func(raw []byte) (Campaign, int, error)
 	// Cache, when non-nil, is passed to every campaign execution as
 	// Options.Cache and surfaces resultstore_* families at /metrics.
-	Cache ResultCache
+	Cache *resultstore.Store
 	// CodeVersion is the build identity recorded in run ledgers and
 	// mixed into cache keys; see Options.CodeVersion.
 	CodeVersion string
@@ -172,25 +172,18 @@ func newServerMetrics() *serverMetrics {
 	return m
 }
 
-// enableCache registers the result-store families. The bytes gauge is
-// scrape-time: caches exposing ScrapeSizeBytes (resultstore.Store
-// does) re-walk the backend on scrape — so external writers to a
-// shared store show up — with plain SizeBytes (write-maintained) as
-// the fallback; others report 0.
-func (m *serverMetrics) enableCache(cache ResultCache) {
+// enableCache registers the result-store families. Hits and misses are
+// counted from each job's JobResult.Cached; the bytes gauge is read at
+// scrape time from Store.ScrapeSizeBytes, a TTL-bounded directory walk,
+// so external writers to a shared store show up.
+func (m *serverMetrics) enableCache(cache *resultstore.Store) {
 	m.cacheHits = m.reg.Counter("resultstore_hits_total",
 		"Campaign cells served from the content-addressed result store.")
 	m.cacheMisses = m.reg.Counter("resultstore_misses_total",
 		"Campaign cells computed because the result store had no entry.")
 	m.reg.GaugeFunc("resultstore_bytes",
 		"Bytes stored in the result store, refreshed on scrape.", func() float64 {
-			if fresh, ok := cache.(interface{ ScrapeSizeBytes() int64 }); ok {
-				return float64(fresh.ScrapeSizeBytes())
-			}
-			if sized, ok := cache.(interface{ SizeBytes() int64 }); ok {
-				return float64(sized.SizeBytes())
-			}
-			return 0
+			return float64(cache.ScrapeSizeBytes())
 		})
 }
 
@@ -208,9 +201,10 @@ type campaignState struct {
 	started  time.Time
 	finished time.Time
 	// events is the append-only job lifecycle log streamed by
-	// GET /campaigns/{id}/events. The campaign_finished event is appended
-	// in the same critical section that sets the terminal state, so a
-	// reader observing a terminal state under mu sees the complete log.
+	// GET /campaigns/{id}/events: the events Run delivers to
+	// Options.OnEvent, as Run wrote them to timeline.jsonl. Every event
+	// is appended before the terminal state is set, so a reader
+	// observing a terminal state under mu sees the complete log.
 	events []obs.JobEvent
 	// spans is the append-only span log streamed by
 	// GET /campaigns/{id}/spans (TraceSpans servers only). Every span
@@ -220,19 +214,6 @@ type campaignState struct {
 	// syncer flushes the campaign's artifact sidecars; non-nil only
 	// while the campaign runs with an artifact directory.
 	syncer ArtifactSyncer
-}
-
-// addEvent appends one lifecycle event, stamping its campaign-relative
-// offset.
-func (cs *campaignState) addEvent(ev obs.JobEvent) {
-	cs.mu.Lock()
-	cs.appendEventLocked(ev)
-	cs.mu.Unlock()
-}
-
-func (cs *campaignState) appendEventLocked(ev obs.JobEvent) {
-	ev.ElapsedMS = float64(time.Since(cs.started).Microseconds()) / 1e3
-	cs.events = append(cs.events, ev)
 }
 
 // NewServer returns a server executing campaigns against reg.
@@ -405,17 +386,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Resolve the pool size now, mirroring Run, so status and metrics
+	// Resolve the pool size now, as Run will, so status and metrics
 	// report the actual worker count rather than the raw option.
 	if workers <= 0 {
 		workers = s.defaultWorkers
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(camp.Jobs) {
-		workers = len(camp.Jobs)
-	}
+	workers = poolSize(workers, len(camp.Jobs))
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	cs := &campaignState{
 		campaign: camp,
@@ -455,7 +431,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (s *Server) execute(ctx context.Context, cs *campaignState) {
 	defer s.wg.Done()
 	defer cs.cancel()
-	cs.addEvent(obs.JobEvent{Type: obs.EventCampaignStarted, Campaign: cs.campaign.Name, Index: -1})
 	// Resolve the per-kind metric series once up front: With takes the
 	// family lock, so calling it per job result would contend with the
 	// scrape path on large campaigns.
@@ -474,16 +449,15 @@ func (s *Server) execute(ctx context.Context, cs *campaignState) {
 			cs.progress = p
 			cs.mu.Unlock()
 		},
-		OnJobStart: func(i int) {
-			spec := cs.campaign.Jobs[i]
-			cs.addEvent(obs.JobEvent{Type: obs.EventJobStarted, Index: i,
-				Kind: spec.Kind, Name: spec.Name})
+		OnEvent: func(ev obs.JobEvent) {
+			cs.mu.Lock()
+			cs.events = append(cs.events, ev)
+			cs.mu.Unlock()
 		},
 		OnResult: func(r JobResult) {
 			cs.mu.Lock()
 			cs.results[r.Index] = &r
 			cs.mu.Unlock()
-			typ := obs.EventJobDone
 			switch r.Status {
 			case StatusDone:
 				s.metrics.jobsDone.Inc()
@@ -496,18 +470,10 @@ func (s *Server) execute(ctx context.Context, cs *campaignState) {
 				}
 				durationByKind[r.Kind].Observe(r.Duration.Seconds())
 			case StatusFailed:
-				typ = obs.EventJobFailed
 				s.metrics.jobsFailed.Inc()
 				errorsByKind[r.Kind].Inc()
 				durationByKind[r.Kind].Observe(r.Duration.Seconds())
-			case StatusCancelled:
-				typ = obs.EventJobCancelled
 			}
-			cs.addEvent(obs.JobEvent{Type: typ, Index: r.Index, Kind: r.Kind,
-				Name: r.Name, Error: r.Error,
-				DurationMS: float64(r.Duration.Microseconds()) / 1e3,
-				Cached:     r.Cached,
-				Resources:  r.Resources})
 		},
 		Cache:       s.cache,
 		CodeVersion: s.codeVersion,
@@ -543,16 +509,16 @@ func (s *Server) execute(ctx context.Context, cs *campaignState) {
 			cs.results[i] = &r
 		}
 	}
-	switch {
-	case ctx.Err() != nil:
-		cs.state = "cancelled"
-	case err != nil:
+	// The state is the one Run's campaign_finished carries. A Run that
+	// failed before its first event (an artifact-dir error) delivered
+	// none, so the stream is closed here.
+	if n := len(cs.events); n > 0 && cs.events[n-1].Type == obs.EventCampaignFinished {
+		cs.state = cs.events[n-1].State
+	} else {
 		cs.state = "failed"
-	default:
-		cs.state = "done"
+		cs.events = append(cs.events, obs.JobEvent{Type: obs.EventCampaignFinished,
+			Campaign: cs.campaign.Name, Index: -1, State: cs.state})
 	}
-	cs.appendEventLocked(obs.JobEvent{Type: obs.EventCampaignFinished,
-		Campaign: cs.campaign.Name, Index: -1, State: cs.state})
 	state := cs.state
 	elapsed := cs.finished.Sub(cs.started)
 	cs.mu.Unlock()
@@ -661,55 +627,27 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleEvents streams the campaign's job lifecycle events as NDJSON,
-// following the live campaign (15 ms polling) until it reaches a
-// terminal state or the client disconnects. The campaign_finished event
-// is always the last line for a completed campaign.
+// handleEvents streams the campaign's job lifecycle events as NDJSON
+// (see follow). The campaign_finished event is always the last line for
+// a completed campaign.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	cs := s.lookup(r.PathValue("id"))
-	if cs == nil {
-		httpError(w, http.StatusNotFound, "no campaign %q", r.PathValue("id"))
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	sent := 0
-	for {
-		cs.mu.Lock()
-		batch := append([]obs.JobEvent(nil), cs.events[sent:]...)
-		terminal := cs.state != "running"
-		cs.mu.Unlock()
-		for i := range batch {
-			if err := enc.Encode(&batch[i]); err != nil {
-				s.log.Warn("encode event stream", "campaign", cs.id, "err", err)
-				return
-			}
-			sent++
-		}
-		if len(batch) > 0 && flusher != nil {
-			flusher.Flush()
-		}
-		if terminal {
-			// The finished event is appended under the same lock that set
-			// the terminal state, so the batch above was complete.
-			return
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-time.After(15 * time.Millisecond):
-		}
-	}
+	follow(s, w, r, "event", func(cs *campaignState) []obs.JobEvent { return cs.events })
 }
 
 // handleSpans streams the campaign's spans as NDJSON (tracez.Span wire
-// format), following the live campaign like handleEvents until it
-// reaches a terminal state or the client disconnects. Every span is
-// recorded before the terminal state is set, so the final batch is
-// complete. On a server without TraceSpans the stream is empty and
-// closes as soon as the campaign finishes.
+// format; see follow). On a server without TraceSpans the stream is
+// empty and closes as soon as the campaign finishes.
 func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
+	follow(s, w, r, "span", func(cs *campaignState) []tracez.Span { return cs.spans })
+}
+
+// follow streams one of a campaign's append-only logs (read by entries,
+// under the campaign lock) as NDJSON, following the live campaign
+// (15 ms polling) until it reaches a terminal state or the client
+// disconnects. Every entry is appended before the terminal state is
+// set, so the batch read together with a terminal state completes the
+// stream.
+func follow[T any](s *Server, w http.ResponseWriter, r *http.Request, stream string, entries func(*campaignState) []T) {
 	cs := s.lookup(r.PathValue("id"))
 	if cs == nil {
 		httpError(w, http.StatusNotFound, "no campaign %q", r.PathValue("id"))
@@ -721,12 +659,12 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	sent := 0
 	for {
 		cs.mu.Lock()
-		batch := append([]tracez.Span(nil), cs.spans[sent:]...)
+		batch := append([]T(nil), entries(cs)[sent:]...)
 		terminal := cs.state != "running"
 		cs.mu.Unlock()
 		for i := range batch {
 			if err := enc.Encode(&batch[i]); err != nil {
-				s.log.Warn("encode span stream", "campaign", cs.id, "err", err)
+				s.log.Warn("encode "+stream+" stream", "campaign", cs.id, "err", err)
 				return
 			}
 			sent++

@@ -8,6 +8,9 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -78,14 +81,15 @@ func TestMetricsExposition(t *testing.T) {
 }
 
 // TestMetricsCountFailures checks the per-kind error counter and that
-// failed jobs still land in the duration histogram.
+// failed jobs still land in the duration histogram. A campaign with a
+// failed cell ends "failed", the state its timeline records.
 func TestMetricsCountFailures(t *testing.T) {
 	srv := NewServer(testRegistry(t), ServerOptions{DefaultWorkers: 2})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 
 	id := submit(t, ts, `{"name":"f","seed":1,"jobs":[{"kind":"fail"},{"kind":"fail"},{"kind":"drawsum","params":{"draws":10}}]}`)
-	waitForState(t, ts, id, "done")
+	waitForState(t, ts, id, "failed")
 
 	out := scrapeMetrics(t, ts)
 	if err := obs.ValidateExposition(strings.NewReader(out)); err != nil {
@@ -197,4 +201,87 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.w.Write(p)
+}
+
+// getEvents reads a campaign's full /events stream.
+func getEvents(t *testing.T, ts *httptest.Server, id string) []obs.JobEvent {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/campaigns/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	events, err := obs.ReadJobEvents(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return events
+}
+
+// TestServedLifecycleMatchesTimeline checks a served campaign has one
+// lifecycle stream: for a done, a failed-cell and a cancelled campaign,
+// GET /campaigns/{id}, the last /events line and the last
+// timeline.jsonl line agree on the state, and the served events equal
+// the file's, offsets included.
+func TestServedLifecycleMatchesTimeline(t *testing.T) {
+	root := t.TempDir()
+	srv := NewServer(testRegistry(t), ServerOptions{DefaultWorkers: 2, ArtifactRoot: root})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+
+	for _, tc := range []struct {
+		state, jobs string
+		cancel      bool
+	}{
+		{"done", `{"kind":"drawsum","name":"a","params":{"draws":10}},{"kind":"drawsum","name":"b","params":{"draws":20}}`, false},
+		{"failed", `{"kind":"fail","name":"bad"},{"kind":"drawsum","name":"good","params":{"draws":10}}`, false},
+		{"cancelled", `{"kind":"block"},{"kind":"block"},{"kind":"block"}`, true},
+	} {
+		id := submit(t, ts, `{"name":"`+tc.state+`","seed":1,"jobs":[`+tc.jobs+`]}`)
+		if tc.cancel {
+			req, err := http.NewRequest(http.MethodDelete, ts.URL+"/campaigns/"+id, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+		}
+		if v := waitForState(t, ts, id, tc.state); v.State != tc.state {
+			t.Fatalf("%s: status state %q", tc.state, v.State)
+		}
+		served := getEvents(t, ts, id)
+		file := readTimeline(t, filepath.Join(root, id))
+		for name, evs := range map[string][]obs.JobEvent{"/events": served, "timeline.jsonl": file} {
+			last := evs[len(evs)-1]
+			if last.Type != obs.EventCampaignFinished || last.State != tc.state {
+				t.Errorf("%s: last %s event %+v, want campaign_finished %q", tc.state, name, last, tc.state)
+			}
+		}
+		if !reflect.DeepEqual(served, file) {
+			t.Errorf("%s: served events differ from timeline.jsonl:\nserved %+v\nfile   %+v", tc.state, served, file)
+		}
+	}
+}
+
+// TestServedRunErrorClosesStream checks a campaign whose Run fails
+// before its first event (the artifact directory cannot be created)
+// still ends "failed" with a closing campaign_finished event.
+func TestServedRunErrorClosesStream(t *testing.T) {
+	blocker := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(testRegistry(t), ServerOptions{DefaultWorkers: 1, ArtifactRoot: blocker})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+
+	id := submit(t, ts, `{"name":"x","seed":1,"jobs":[{"kind":"drawsum","params":{"draws":10}}]}`)
+	waitForState(t, ts, id, "failed")
+	evs := getEvents(t, ts, id)
+	if len(evs) != 1 || evs[0].Type != obs.EventCampaignFinished || evs[0].State != "failed" {
+		t.Fatalf("events %+v, want one campaign_finished failed", evs)
+	}
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
@@ -85,8 +84,9 @@ func TestTimelineArtifact(t *testing.T) {
 	}
 }
 
-// TestJobHooks checks OnJobStart fires per job and JobContext decorates
-// the context the kind function receives.
+// TestJobHooks checks OnEvent delivers the lifecycle stream (one
+// job_started per job, bracketed by the campaign events) and JobContext
+// decorates the context the kind function receives.
 func TestJobHooks(t *testing.T) {
 	reg := testRegistry(t)
 	type ctxKey struct{}
@@ -97,14 +97,15 @@ func TestJobHooks(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		c.Jobs = append(c.Jobs, Spec{Kind: "ctxcheck"})
 	}
-	var mu sync.Mutex
+	var events []obs.JobEvent // OnEvent is serialised
 	startedIdx := map[int]bool{}
 	res, err := Run(context.Background(), reg, c, Options{
 		Workers: 2,
-		OnJobStart: func(i int) {
-			mu.Lock()
-			startedIdx[i] = true
-			mu.Unlock()
+		OnEvent: func(ev obs.JobEvent) {
+			events = append(events, ev)
+			if ev.Type == obs.EventJobStarted {
+				startedIdx[ev.Index] = true
+			}
 		},
 		JobContext: func(ctx context.Context, i int, _ Spec) context.Context {
 			return context.WithValue(ctx, ctxKey{}, i*10)
@@ -114,7 +115,11 @@ func TestJobHooks(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(startedIdx) != 4 {
-		t.Fatalf("OnJobStart saw %d jobs, want 4", len(startedIdx))
+		t.Fatalf("OnEvent saw %d started jobs, want 4", len(startedIdx))
+	}
+	if len(events) != 2+2*4 || events[0].Type != obs.EventCampaignStarted ||
+		events[len(events)-1].Type != obs.EventCampaignFinished || events[len(events)-1].State != "done" {
+		t.Fatalf("event stream %+v", events)
 	}
 	for i, r := range res.Results {
 		if got, ok := r.Output.(int); !ok || got != i*10 {

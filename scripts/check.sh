@@ -11,6 +11,11 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 go vet ./...
+# perfbench/ is its own module (it imports runner, resultstore, obs and
+# tracez through a replace directive), so ./... never compiles it: vet
+# it here so an internal API change that breaks the benchmark harness
+# fails the gate.
+(cd perfbench && go vet ./...)
 go build ./...
 go test -race ./...
 
@@ -53,6 +58,15 @@ go test -count=1 -run 'TestKeyGoldenFixtures|TestKeyMechVersionBump' ./internal/
 # `pcs sim -spec` and the same document served through POST /campaigns
 # must leave byte-identical results.jsonl.
 go test -count=1 -run 'TestSimLocalMatchesServed' ./cmd/pcs
+
+# One lifecycle stream (DESIGN.md §11.4): for done, failed-cell and
+# cancelled served campaigns the status, /events and timeline.jsonl
+# agree on the state and the served events equal the file's, under
+# the race detector and repeated. One store size (DESIGN.md §10): the
+# scraped resultstore_bytes gauge equals a fresh walk after repeated
+# Puts of one key.
+go test -count=10 -race -run 'TestServedLifecycleMatchesTimeline|TestServedRunErrorClosesStream' ./internal/runner
+go test -count=1 -run 'TestScrapeMatchesWalkAfterOverwrite|TestScrapeSizeBytesRefresh' ./internal/resultstore
 
 # Campaign-cell throughput smoke: one cold and one warm pass of the
 # mixed grid so the end-to-end cells/sec benchmark stays runnable; the
