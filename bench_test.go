@@ -159,11 +159,20 @@ func fig4Bench(b *testing.B, cfg cpusim.SystemConfig) {
 	var sum expers.Summary
 	cells := 0
 	for i := 0; i < b.N; i++ {
-		data, res, err := expers.Fig4Grid(context.Background(), cfg, workloads, opts, runner.Options{})
+		jobs, err := expers.Fig4CellJobs(cfg, workloads, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		sum = expers.Summarise(data)
+		res, err := runner.Run(context.Background(), expers.NewCampaignRegistry(),
+			runner.Campaign{Name: "fig4", Seed: opts.Seed, Jobs: jobs}, runner.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		grids, err := expers.AssembleFig4(res.Results)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sum = expers.Summarise(grids[0])
 		cells += len(res.Results)
 	}
 	b.ReportMetric(float64(opts.WarmupInstr+opts.SimInstr)*float64(cells)/b.Elapsed().Seconds(), "instr/s")

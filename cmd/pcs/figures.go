@@ -1,19 +1,16 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"repro/internal/cli"
+	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/cpusim"
 	"repro/internal/expers"
 	"repro/internal/plot"
-	"repro/internal/runner"
-	"repro/internal/trace"
 )
 
 // figuresCommand renders the paper's figures as SVG files: Fig. 2 (BER
@@ -160,12 +157,11 @@ func figuresCommand() *cli.Command {
 				return nil
 			}
 			// Fig. 4 panels from a (scaled) simulation run.
-			opts := cpusim.RunOptions{WarmupInstr: instr / 4, SimInstr: instr, Seed: 1}
-			for _, cfg := range []cpusim.SystemConfig{cpusim.ConfigA(), cpusim.ConfigB()} {
-				data, err := fig4Grid(cfg, opts)
-				if err != nil {
-					return err
-				}
+			grids, err := runFig4Windows("figures", instr/4, instr)
+			if err != nil {
+				return err
+			}
+			for _, data := range grids {
 				var labels []string
 				var eS, eD, ovS, ovD []float64
 				for _, r := range data.Rows {
@@ -175,7 +171,7 @@ func figuresCommand() *cli.Command {
 					ovS = append(ovS, r.ExecOverhead(core.SPCS)*100)
 					ovD = append(ovD, r.ExecOverhead(core.DPCS)*100)
 				}
-				name := cfg.Name
+				name := data.Config
 				if err := write(fmt.Sprintf("fig4_energy_%s.svg", name), func(f *os.File) error {
 					b := plot.Bars{Title: fmt.Sprintf("Fig. 4 — normalised cache energy, Config %s", name),
 						YLabel: "energy vs baseline", Labels: labels,
@@ -210,9 +206,13 @@ func clampNonNeg(xs []float64) []float64 {
 	return out
 }
 
-// fig4Grid runs one configuration's full Fig. 4 grid for the figure and
-// report commands, logging each finished cell to stderr.
-func fig4Grid(cfg cpusim.SystemConfig, opts cpusim.RunOptions) (expers.Fig4Data, error) {
-	data, _, err := expers.Fig4Grid(context.Background(), cfg, trace.Suite(), opts, runner.Options{OnResult: logCell})
-	return data, err
+// runFig4Windows runs the Fig. 4 grid for both configurations at the
+// given windows, seed 1, as one campaign lowered from a sim document,
+// logging each finished cell to stderr.
+func runFig4Windows(cmd string, warmup, instr uint64) ([]expers.Fig4Data, error) {
+	camp := campaigns{cmd: cmd, onResult: logCell}
+	return camp.runFig4(&config.Document{
+		Version: config.Version,
+		Sim:     &config.SimSpec{WarmupInstr: warmup, SimInstr: instr},
+	})
 }

@@ -3,14 +3,12 @@ package main
 import (
 	"flag"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"repro/internal/cli"
 	"repro/internal/config"
 	"repro/internal/expers"
 	"repro/internal/report"
-	"repro/internal/trace"
 )
 
 // multicoreCommand runs the multi-core extension (the paper's Sec. 5
@@ -21,31 +19,25 @@ import (
 // form produce identical campaigns.
 func multicoreCommand() *cli.Command {
 	var (
-		spec      string
-		coresFlag string
-		bench     string
-		instr     uint64
-		warmup    uint64
-		shared    float64
-		cfgSel    string
-		seed      uint64
-		jsonOut   bool
-		camp      = campaigns{cmd: "multicore"}
+		doc     = gridDocument(config.Document{Multicore: &config.MulticoreSpec{}})
+		ms      = doc.Multicore
+		jsonOut bool
+		camp    = campaigns{cmd: "multicore"}
 	)
 	return &cli.Command{
 		Name:    "multicore",
 		Summary: "run the multi-core extension (shared PCS-managed L2, core-count x policy grid)",
 		Usage:   "[-spec file] [-cores 1,2,4] [-bench name] [-instr N] [flags]",
 		SetFlags: func(fs *flag.FlagSet) {
-			fs.StringVar(&spec, "spec", "", "experiment spec file (.json or .toml) with a \"multicore\" section")
-			fs.StringVar(&coresFlag, "cores", "1,2,4", "comma-separated core counts to sweep")
-			fs.StringVar(&bench, "bench", "gobmk.s", "workload run on every core")
-			fs.Uint64Var(&instr, "instr", 2_000_000, "measured instructions per core")
-			fs.Uint64Var(&warmup, "warmup", 400_000, "warm-up instructions per core")
-			fs.Float64Var(&shared, "shared", 0.10, "fraction of data accesses to the shared region")
-			fs.StringVar(&cfgSel, "config", "A", "system configuration: A or B")
-			fs.Uint64Var(&seed, "seed", 1, "seed")
-			fs.IntVar(&camp.workers, "workers", 0, "campaign worker count (0 = GOMAXPROCS)")
+			fs.StringVar(&camp.spec, "spec", "", "experiment spec file (.json or .toml) with a \"multicore\" section")
+			fs.Var((*listFlag[int])(&ms.Cores), "cores", "comma-separated `list` of core counts to sweep")
+			fs.StringVar(&ms.Bench, "bench", ms.Bench, "workload run on every core")
+			fs.Uint64Var(&ms.InstrPerCore, "instr", ms.InstrPerCore, "measured instructions per core")
+			fs.Uint64Var(&ms.WarmupInstr, "warmup", ms.WarmupInstr, "warm-up instructions per core")
+			fs.Float64Var(&ms.SharedFrac, "shared", ms.SharedFrac, "fraction of data accesses to the shared region")
+			fs.StringVar(&ms.Config, "config", ms.Config, "system configuration: A or B")
+			fs.Uint64Var(&doc.Seed, "seed", doc.Seed, "seed")
+			fs.IntVar(&doc.Workers, "workers", doc.Workers, "campaign worker count (0 = GOMAXPROCS)")
 			fs.BoolVar(&jsonOut, "json", false, "emit the table as JSON instead of text")
 			fs.StringVar(&camp.runsRoot, "runs", "", "archive campaign records under this directory (e.g. runs)")
 			fs.BoolVar(&camp.progress, "progress", false, "log campaign progress to stderr")
@@ -53,78 +45,18 @@ func multicoreCommand() *cli.Command {
 			fs.StringVar(&camp.cacheDir, "cache", "", "content-addressed result cache directory (memoizes grid cells across runs)")
 		},
 		Run: func(fs *flag.FlagSet) error {
-			set := flagsSet(fs)
-			var ms *config.MulticoreSpec
-			if spec != "" {
-				doc, err := config.Load(spec)
-				if err != nil {
-					return err
-				}
-				if doc.Multicore == nil {
-					return fmt.Errorf("%s: pcs multicore needs a \"multicore\" spec section", spec)
-				}
-				ms = doc.Multicore
-				if !set["seed"] {
-					seed = doc.Seed
-				}
-				if !set["workers"] && doc.Workers > 0 {
-					camp.workers = doc.Workers
-				}
-			} else {
-				// The old binary's hard-wired shared-region size and
-				// coherence penalty are the spec defaults.
-				ms = &config.MulticoreSpec{}
-			}
-			if spec == "" || set["config"] {
-				ms.Config = cfgSel
-			}
-			if spec == "" || set["bench"] {
-				ms.Bench = bench
-			}
-			if spec == "" || set["instr"] {
-				ms.InstrPerCore = instr
-			}
-			if spec == "" || set["warmup"] {
-				ms.WarmupInstr = warmup
-			}
-			if spec == "" || set["shared"] {
-				ms.SharedFrac = shared
-			}
-			if spec == "" || set["cores"] {
-				var counts []int
-				for _, p := range strings.Split(coresFlag, ",") {
-					n, err := strconv.Atoi(strings.TrimSpace(p))
-					if err != nil || n < 1 {
-						return fmt.Errorf("bad core count %q", p)
-					}
-					counts = append(counts, n)
-				}
-				ms.Cores = counts
-			}
-
-			doc := &config.Document{Version: config.Version, Seed: seed, Multicore: ms}
-			doc.ApplyDefaults()
-			if err := doc.Validate(); err != nil {
+			if err := camp.load(fs, doc); err != nil {
 				return err
 			}
-			grid, err := doc.ExpandCampaign()
+			results, err := camp.run(doc)
 			if err != nil {
 				return err
 			}
-			if err := camp.open(); err != nil {
-				return err
-			}
-			results, err := camp.runCampaign("multicore", grid)
-			if err != nil {
-				return err
-			}
-			camp.summary()
 
-			w, _ := trace.ByName(ms.Bench)
 			cfgName := strings.ToUpper(ms.Config)
 			t := report.NewTable(
 				fmt.Sprintf("Multi-core PCS: %s on Config %s, %d instr/core, %.0f%% shared data",
-					w.Name, cfgName, ms.InstrPerCore, ms.SharedFrac*100),
+					ms.Bench, cfgName, ms.InstrPerCore, ms.SharedFrac*100),
 				"Cores", "Policy", "Cycles (max core)", "Exec ovh %", "L2 misses", "Coh. invals",
 				"Cache E (mJ)", "E saving %")
 			i := 0

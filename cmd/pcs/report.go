@@ -65,9 +65,11 @@ func reportCommand() *cli.Command {
 				}
 				dir := fs.Arg(0)
 				dst := filepath.Join(dir, "trace.json")
-				if flagsSet(fs)["o"] {
-					dst = out
-				}
+				fs.Visit(func(f *flag.Flag) {
+					if f.Name == "o" {
+						dst = out
+					}
+				})
 				return exportPerfetto(dir, dst)
 			}
 			return writeReport(out, instr)
@@ -199,12 +201,12 @@ func writeReport(out string, instr uint64) (err error) {
 
 	section("Fig. 4 — simulation (16 benchmarks x baseline/SPCS/DPCS)")
 	opts := cpusim.RunOptions{WarmupInstr: maxU(instr/12, 500_000), SimInstr: instr, Seed: 1}
-	for _, cfg := range []cpusim.SystemConfig{cpusim.ConfigA(), cpusim.ConfigB()} {
-		fmt.Fprintf(os.Stderr, "simulating Config %s (%d instr x 48 runs)...\n", cfg.Name, instr)
-		data, err := fig4Grid(cfg, opts)
-		if err != nil {
-			return err
-		}
+	fmt.Fprintf(os.Stderr, "simulating Configs A and B (%d instr x 96 runs)...\n", instr)
+	grids, err := runFig4Windows("report", opts.WarmupInstr, opts.SimInstr)
+	if err != nil {
+		return err
+	}
+	for _, data := range grids {
 		for _, t := range []*report.Table{
 			expers.Fig4PowerTable(data, "L1"),
 			expers.Fig4PowerTable(data, "L2"),

@@ -1,12 +1,10 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"repro/internal/cli"
 	"repro/internal/config"
@@ -21,15 +19,12 @@ import (
 
 // simCommand is the Fig. 4 architectural simulation: the 16 SPEC-like
 // workloads under baseline, SPCS and DPCS for system Configs A and B —
-// the old pcs-sim binary as a subcommand.
+// the old pcs-sim binary as a subcommand. The grid runs as one
+// campaign, the one a served "sim" document runs.
 func simCommand() *cli.Command {
 	var (
-		spec     string
-		cfgSel   string
-		instr    uint64
-		warmup   uint64
-		seed     uint64
-		bench    string
+		doc      = gridDocument(config.Document{Sim: &config.SimSpec{}})
+		sim      = doc.Sim
 		configs  bool
 		csv      bool
 		quiet    bool
@@ -42,17 +37,17 @@ func simCommand() *cli.Command {
 		Summary: "run the Fig. 4 simulation grid (16 workloads x baseline/SPCS/DPCS)",
 		Usage:   "[-spec file] [-config A|B|both] [-instr N] [-bench name] [flags]",
 		SetFlags: func(fs *flag.FlagSet) {
-			fs.StringVar(&spec, "spec", "", "experiment spec file (.json or .toml) with a \"sim\" section")
-			fs.StringVar(&cfgSel, "config", "both", "system configuration: A, B or both")
-			fs.Uint64Var(&instr, "instr", 24_000_000, "measured instructions per run")
-			fs.Uint64Var(&warmup, "warmup", 2_000_000, "warm-up instructions (fast-forward)")
-			fs.Uint64Var(&seed, "seed", 1, "seed for fault maps and workloads")
-			fs.StringVar(&bench, "bench", "", "run a single named benchmark (e.g. mcf.s)")
+			fs.StringVar(&camp.spec, "spec", "", "experiment spec file (.json or .toml) with a \"sim\" section")
+			fs.StringVar(&sim.Config, "config", sim.Config, "system configuration: A, B or both")
+			fs.Uint64Var(&sim.SimInstr, "instr", sim.SimInstr, "measured instructions per run")
+			fs.Uint64Var(&sim.WarmupInstr, "warmup", sim.WarmupInstr, "warm-up instructions (fast-forward)")
+			fs.Uint64Var(&doc.Seed, "seed", doc.Seed, "seed for fault maps and workloads")
+			fs.StringVar(&sim.Bench, "bench", sim.Bench, "run a single named benchmark (e.g. mcf.s)")
 			fs.BoolVar(&configs, "configs", false, "print Tables 1-2 style configuration and exit")
 			fs.BoolVar(&csv, "csv", false, "emit CSV instead of aligned tables")
 			fs.BoolVar(&quiet, "q", false, "suppress per-run progress lines")
 			fs.StringVar(&timeline, "timeline", "", "with -bench: write the DPCS policy timeline to this JSONL file")
-			fs.IntVar(&camp.workers, "workers", runtime.GOMAXPROCS(0), "parallel simulations for the full grid (results are identical at any worker count)")
+			fs.IntVar(&doc.Workers, "workers", doc.Workers, "parallel simulations for the full grid (0 = GOMAXPROCS; results are identical at any worker count)")
 			fs.StringVar(&camp.runsRoot, "runs", "", "archive grid campaign records under this directory (e.g. runs)")
 			fs.BoolVar(&camp.trace, "trace", false, "with -runs: record campaign trace spans (spans.jsonl, for pcs report -perfetto)")
 			fs.StringVar(&camp.cacheDir, "cache", "", "content-addressed result cache directory (memoizes grid cells across runs)")
@@ -67,78 +62,39 @@ func simCommand() *cli.Command {
 				return err
 			}
 			defer stopProf()
-			if spec != "" {
-				doc, err := config.Load(spec)
+			if err := camp.load(fs, doc); err != nil {
+				return err
+			}
+			if timeline != "" && sim.Bench == "" {
+				return fmt.Errorf("-timeline needs -bench (it records one DPCS run)")
+			}
+			if camp.runsRoot != "" && sim.Bench != "" {
+				return fmt.Errorf("-runs records the full grid; it cannot combine with -bench")
+			}
+			if sim.Bench != "" {
+				cfgs, err := cpusim.ConfigsByName(sim.Config)
 				if err != nil {
 					return err
 				}
-				if doc.Sim == nil {
-					return fmt.Errorf("%s: pcs sim needs a \"sim\" spec section", spec)
-				}
-				// Explicit flags override the spec; everything else comes
-				// from the (defaulted) document.
-				set := flagsSet(fs)
-				if !set["config"] {
-					cfgSel = doc.Sim.Config
-				}
-				if !set["bench"] {
-					bench = doc.Sim.Bench
-				}
-				if !set["instr"] {
-					instr = doc.Sim.SimInstr
-				}
-				if !set["warmup"] {
-					warmup = doc.Sim.WarmupInstr
-				}
-				if !set["seed"] {
-					seed = doc.Seed
-				}
-				if !set["workers"] && doc.Workers > 0 {
-					camp.workers = doc.Workers
-				}
-			}
-
-			cfgs, err := cpusim.ConfigsByName(cfgSel)
-			if err != nil {
-				return err
-			}
-			opts := cpusim.RunOptions{WarmupInstr: warmup, SimInstr: instr, Seed: seed}
-
-			if timeline != "" && bench == "" {
-				return fmt.Errorf("-timeline needs -bench (it records one DPCS run)")
-			}
-			if camp.runsRoot != "" && bench != "" {
-				return fmt.Errorf("-runs records the full grid; it cannot combine with -bench")
-			}
-			if err := camp.open(); err != nil {
-				return err
-			}
-			if bench != "" {
+				opts := cpusim.RunOptions{WarmupInstr: sim.WarmupInstr, SimInstr: sim.SimInstr, Seed: doc.Seed}
 				for _, cfg := range cfgs {
-					if err := runSingle(cfg, bench, opts, timeline); err != nil {
+					if err := runSingle(cfg, sim.Bench, opts, timeline); err != nil {
 						return err
 					}
 				}
 				return nil
 			}
 
-			for _, cfg := range cfgs {
-				if !quiet {
-					fmt.Fprintf(os.Stderr, "config %s: %d benchmarks x 3 modes, %d instr each, %d workers\n",
-						cfg.Name, len(trace.Suite()), opts.SimInstr, camp.workers)
-				}
-				var data expers.Fig4Data
-				_, err := camp.run("fig4-"+cfg.Name, func(ctx context.Context, ropts runner.Options) (*runner.CampaignResult, error) {
-					if !quiet {
-						ropts.OnResult = logCell
-					}
-					d, res, err := expers.Fig4Grid(ctx, cfg, trace.Suite(), opts, ropts)
-					data = d
-					return res, err
-				})
-				if err != nil {
-					return err
-				}
+			if !quiet {
+				fmt.Fprintf(os.Stderr, "config %s: %d benchmarks x 3 modes, %d instr each\n",
+					sim.Config, len(trace.Suite()), sim.SimInstr)
+				camp.onResult = logCell
+			}
+			grids, err := camp.runFig4(doc)
+			if err != nil {
+				return err
+			}
+			for _, data := range grids {
 				for _, t := range []*report.Table{
 					expers.Fig4PowerTable(data, "L1"),
 					expers.Fig4PowerTable(data, "L2"),
@@ -151,10 +107,19 @@ func simCommand() *cli.Command {
 					}
 				}
 			}
-			camp.summary()
 			return nil
 		},
 	}
+}
+
+// runFig4 runs a sim document's grid — every configuration in one
+// campaign — and assembles one Fig4Data per configuration.
+func (c *campaigns) runFig4(doc *config.Document) ([]expers.Fig4Data, error) {
+	results, err := c.run(doc)
+	if err != nil {
+		return nil, err
+	}
+	return expers.AssembleFig4(results)
 }
 
 // logCell is the Fig. 4 grid's per-cell progress line on stderr.
@@ -162,14 +127,6 @@ func logCell(r runner.JobResult) {
 	if r.Status == runner.StatusDone {
 		fmt.Fprintf(os.Stderr, "  %s\n", r.Output.(cpusim.Result))
 	}
-}
-
-// flagsSet returns the names of flags explicitly present on the command
-// line (or set from the environment), for spec-vs-flag precedence.
-func flagsSet(fs *flag.FlagSet) map[string]bool {
-	set := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	return set
 }
 
 // renderTable writes one table as text or CSV, matching the historical

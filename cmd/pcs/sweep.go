@@ -2,15 +2,12 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/cli"
 	"repro/internal/config"
 	"repro/internal/expers"
 	"repro/internal/report"
-	"repro/internal/runner"
 )
 
 // sweepCommand explores the design space around the paper's mechanism —
@@ -20,15 +17,12 @@ import (
 // invocations.
 func sweepCommand() *cli.Command {
 	var (
-		spec     string
-		study    = make(map[string]*bool, len(expers.StudyNames()))
-		bench    string
-		instr    uint64
-		seed     uint64
-		jsonOut  bool
-		camp     = campaigns{cmd: "sweep"}
-		mechsCSV string
-		prof     profiler
+		doc     = gridDocument(config.Document{Sweep: &config.SweepSpec{}})
+		sw      = doc.Sweep
+		study   = make(map[string]*bool, len(expers.StudyNames()))
+		jsonOut bool
+		camp    = campaigns{cmd: "sweep"}
+		prof    profiler
 	)
 	summaries := map[string]string{
 		"assoc":   "sweep associativity and block size vs min-VDD",
@@ -44,16 +38,16 @@ func sweepCommand() *cli.Command {
 		Summary: "run the design-space studies (min-VDD geometry, VDD levels, cells, leakage, DPCS policy, ablation, mechanisms)",
 		Usage:   "[-spec file] [-assoc] [-levels] [-cells] [-leakage] [-dpcs] [-ablate] [-mechs] [flags]",
 		SetFlags: func(fs *flag.FlagSet) {
-			fs.StringVar(&spec, "spec", "", "experiment spec file (.json or .toml) with a \"sweep\" section")
+			fs.StringVar(&camp.spec, "spec", "", "experiment spec file (.json or .toml) with a \"sweep\" section")
 			for _, name := range expers.StudyNames() {
 				study[name] = fs.Bool(name, false, summaries[name])
 			}
-			fs.StringVar(&mechsCSV, "mechanisms", "",
-				"comma-separated mechanism selection for -mechs (default: every registered mechanism)")
-			fs.StringVar(&bench, "bench", "bzip2.s", "benchmark for -dpcs")
-			fs.Uint64Var(&instr, "instr", 4_000_000, "instructions for -dpcs, -leakage and -ablate runs")
-			fs.Uint64Var(&seed, "seed", 1, "seed pinned into the simulation-backed studies")
-			fs.IntVar(&camp.workers, "workers", 0, "campaign worker count (0 = GOMAXPROCS)")
+			fs.Var((*listFlag[string])(&sw.Mechanisms), "mechanisms",
+				"comma-separated `list` of mechanisms for -mechs (default: every registered mechanism)")
+			fs.StringVar(&sw.Bench, "bench", sw.Bench, "benchmark for -dpcs")
+			fs.Uint64Var(&sw.SimInstr, "instr", sw.SimInstr, "instructions for -dpcs, -leakage and -ablate runs")
+			fs.Uint64Var(&doc.Seed, "seed", doc.Seed, "seed pinned into the simulation-backed studies")
+			fs.IntVar(&doc.Workers, "workers", doc.Workers, "campaign worker count (0 = GOMAXPROCS)")
 			fs.BoolVar(&jsonOut, "json", false, "emit tables as JSON instead of text")
 			fs.StringVar(&camp.runsRoot, "runs", "", "archive campaign records under this directory (e.g. runs)")
 			fs.BoolVar(&camp.progress, "progress", false, "log campaign progress to stderr")
@@ -68,91 +62,40 @@ func sweepCommand() *cli.Command {
 				return err
 			}
 			defer stopProf()
-			// Study selection: explicit flags beat the spec's list beats
-			// "all of them".
+			if err := camp.load(fs, doc); err != nil {
+				return err
+			}
+			// Study flags beat the spec's list, which beats "all of them".
 			var selected []string
 			for _, name := range expers.StudyNames() {
 				if *study[name] {
 					selected = append(selected, name)
 				}
 			}
-			if spec != "" {
-				doc, err := config.Load(spec)
-				if err != nil {
-					return err
-				}
-				if doc.Sweep == nil {
-					return fmt.Errorf("%s: pcs sweep needs a \"sweep\" spec section", spec)
-				}
-				set := flagsSet(fs)
-				if len(selected) == 0 {
-					selected = doc.Sweep.Studies
-				}
-				if !set["bench"] {
-					bench = doc.Sweep.Bench
-				}
-				if !set["instr"] {
-					instr = doc.Sweep.SimInstr
-				}
-				if !set["seed"] {
-					seed = doc.Seed
-				}
-				if !set["workers"] && doc.Workers > 0 {
-					camp.workers = doc.Workers
-				}
-				if !set["mechanisms"] && len(doc.Sweep.Mechanisms) > 0 {
-					mechsCSV = strings.Join(doc.Sweep.Mechanisms, ",")
-				}
+			if len(selected) > 0 {
+				sw.Studies = selected
 			}
-			mechNames, err := parseMechanisms(mechsCSV)
+			results, err := camp.run(doc)
 			if err != nil {
 				return err
 			}
-			if len(selected) == 0 {
-				selected = expers.StudyNames()
-			}
-			if err := camp.open(); err != nil {
+			studies, err := sw.StudyList(doc.Seed)
+			if err != nil {
 				return err
 			}
-			// Canonical order regardless of selection order.
-			for _, name := range expers.StudyNames() {
-				if !contains(selected, name) {
-					continue
-				}
-				var st expers.Study
-				if name == "mechs" && mechNames != nil {
-					st, err = expers.MechStudy(mechNames)
-				} else {
-					st, err = expers.StudyByName(name, bench, instr, seed)
-				}
+			for _, st := range studies {
+				t, err := st.Table(results[:len(st.Jobs)])
 				if err != nil {
 					return err
 				}
-				results, err := camp.runCampaign(st.Name, runner.Campaign{Name: st.Name, Seed: seed, Jobs: st.Jobs})
-				if err != nil {
-					return err
-				}
-				t, err := st.Table(results)
-				if err != nil {
-					return err
-				}
+				results = results[len(st.Jobs):]
 				if err := renderTableJSON(t, jsonOut); err != nil {
 					return err
 				}
 			}
-			camp.summary()
 			return nil
 		},
 	}
-}
-
-func contains(xs []string, want string) bool {
-	for _, x := range xs {
-		if x == want {
-			return true
-		}
-	}
-	return false
 }
 
 // renderTableJSON writes one table as text or, with jsonOut, as JSON.

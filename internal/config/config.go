@@ -37,7 +37,7 @@ package config
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cpusim"
 	"repro/internal/expers"
@@ -86,13 +86,14 @@ type SimSpec struct {
 
 // SweepSpec describes the design-space studies around the mechanism.
 type SweepSpec struct {
-	// Studies lists the studies to run, in order. Empty means all of
-	// them in the canonical order: assoc, levels, cells, leakage, dpcs,
-	// ablate, mechs.
+	// Studies selects the studies to run. They always run in the
+	// canonical order (assoc, levels, cells, leakage, dpcs, ablate,
+	// mechs) whatever the listed order; empty means all of them.
 	Studies []string `json:"studies,omitempty"`
 	// Mechanisms selects the fault-tolerance mechanisms the "mechs"
 	// study compares, by registry name (internal/mechanism). Empty
-	// means every registered mechanism.
+	// means every registered mechanism; a selection needs the mechs
+	// study among Studies.
 	Mechanisms []string `json:"mechanisms,omitempty"`
 	// Bench is the workload for the dpcs study (default "bzip2.s").
 	Bench string `json:"bench,omitempty"`
@@ -247,15 +248,6 @@ func (d *Document) Validate() error {
 	}
 }
 
-// systemConfigs resolves a sim config selector to the configs to run.
-func systemConfigs(sel string) ([]cpusim.SystemConfig, error) {
-	cfgs, err := cpusim.ConfigsByName(sel)
-	if err != nil {
-		return nil, fmt.Errorf("config: %w", err)
-	}
-	return cfgs, nil
-}
-
 func validBench(name string) error {
 	if _, ok := trace.ByName(name); !ok {
 		return fmt.Errorf("config: unknown benchmark %q (known: %v)", name, trace.Names())
@@ -264,8 +256,8 @@ func validBench(name string) error {
 }
 
 func (s *SimSpec) validate() error {
-	if _, err := systemConfigs(s.Config); err != nil {
-		return err
+	if _, err := cpusim.ConfigsByName(s.Config); err != nil {
+		return fmt.Errorf("config: %w", err)
 	}
 	if s.Bench != "" {
 		if err := validBench(s.Bench); err != nil {
@@ -282,20 +274,16 @@ func (s *SweepSpec) validate() error {
 	known := expers.StudyNames()
 	seen := make(map[string]bool, len(s.Studies))
 	for _, st := range s.Studies {
-		ok := false
-		for _, k := range known {
-			if st == k {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+		if !slices.Contains(known, st) {
 			return fmt.Errorf("config: unknown study %q (known: %v)", st, known)
 		}
 		if seen[st] {
 			return fmt.Errorf("config: study %q listed twice", st)
 		}
 		seen[st] = true
+	}
+	if len(s.Mechanisms) > 0 && !seen["mechs"] {
+		return fmt.Errorf("config: mechanisms %v select what the mechs study compares, but studies %v omit mechs", s.Mechanisms, s.Studies)
 	}
 	seenMech := make(map[string]bool, len(s.Mechanisms))
 	for _, m := range s.Mechanisms {
@@ -349,47 +337,14 @@ func (s *CampaignSpec) validate() error {
 	return nil
 }
 
-// defaulter is the shape every campaign kind's parameter type shares:
-// fill documented defaults, then check the document is runnable.
-type defaulter interface {
-	ApplyDefaults()
-	Validate() error
-}
-
-// kindParams maps every registered campaign kind to a fresh parameter
-// prototype; NormalizeJob strict-decodes against it.
-var kindParams = map[string]func() defaulter{
-	"cpusim":     func() defaulter { return new(expers.CPUSimParams) },
-	"multicore":  func() defaulter { return new(expers.MulticoreParams) },
-	"minvdd":     func() defaulter { return new(expers.MinVDDParams) },
-	"mechminvdd": func() defaulter { return new(expers.MechMinVDDParams) },
-	"vddlevels":  func() defaulter { return new(expers.VDDLevelsParams) },
-	"cells":      func() defaulter { return new(expers.CellsParams) },
-	"leakage":    func() defaulter { return new(expers.LeakageParams) },
-	"ablation":   func() defaulter { return new(expers.AblationParams) },
-	"fig4-cell":  func() defaulter { return new(expers.Fig4CellParams) },
-}
-
-// KnownKinds returns the campaign kinds the spec layer validates
-// against, sorted.
-func KnownKinds() []string {
-	out := make([]string, 0, len(kindParams))
-	for k := range kindParams {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // NormalizeJob validates one campaign-section job — known kind, strict
 // parameter decode — and returns it with defaults applied and the
 // parameter document re-marshalled canonically.
 func NormalizeJob(j Job) (runner.Spec, error) {
-	proto, ok := kindParams[j.Kind]
-	if !ok {
-		return runner.Spec{}, fmt.Errorf("unknown kind %q (known: %v)", j.Kind, KnownKinds())
+	p, err := expers.NewKindParams(j.Kind)
+	if err != nil {
+		return runner.Spec{}, err
 	}
-	p := proto()
 	if len(j.Params) > 0 {
 		if err := strictDecodeJSON([]byte(j.Params), p); err != nil {
 			return runner.Spec{}, fmt.Errorf("kind %q params: %w", j.Kind, err)

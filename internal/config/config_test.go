@@ -209,16 +209,6 @@ func TestJobParamDefaults(t *testing.T) {
 	})
 }
 
-// TestKnownKindsMatchRegistry pins the spec layer's kind list to the
-// campaign registry's: a kind added to one without the other fails.
-func TestKnownKindsMatchRegistry(t *testing.T) {
-	got := KnownKinds()
-	want := expers.NewCampaignRegistry().Kinds()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("config kinds %v != registry kinds %v", got, want)
-	}
-}
-
 // TestSimExpansion checks the Fig. 4 grid lowers to fig4-cell jobs in the
 // historical config × bench × mode order with the master seed pinned.
 func TestSimExpansion(t *testing.T) {
@@ -255,9 +245,10 @@ func TestSimExpansion(t *testing.T) {
 }
 
 // TestSweepExpansion checks study jobs concatenate with study-prefixed
-// names, matching the studies' own job lists.
+// names, matching the studies' own job lists, in the canonical study
+// order whatever order the document lists them in.
 func TestSweepExpansion(t *testing.T) {
-	d, err := Decode([]byte(`{"version":1,"sweep":{"studies":["levels","dpcs"],"sim_instr":5000}}`), JSON)
+	d, err := Decode([]byte(`{"version":1,"sweep":{"studies":["dpcs","levels"],"sim_instr":5000}}`), JSON)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,6 +429,12 @@ func TestSweepMechanismValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "listed twice") {
 		t.Errorf("duplicate mechanism error = %v", err)
 	}
+	// A selection without the mechs study would be silently ignored.
+	if _, err := Decode([]byte(
+		`{"version":1,"sweep":{"studies":["assoc"],"mechanisms":["tscache"]}}`), JSON); err == nil ||
+		!strings.Contains(err.Error(), "omit mechs") {
+		t.Errorf("mechanisms without mechs study error = %v", err)
+	}
 	d, err := Decode([]byte(
 		`{"version":1,"sweep":{"studies":["mechs"],"mechanisms":["tscache","l2c2","proposed"]}}`), JSON)
 	if err != nil {
@@ -491,5 +488,37 @@ func TestMechMinVDDJobNormalization(t *testing.T) {
 		Params: json.RawMessage(`{"mechanism":"nosuch"}`)}); err == nil ||
 		!strings.Contains(err.Error(), "unknown mechanism") {
 		t.Errorf("unknown mechanism error = %v", err)
+	}
+}
+
+// TestShippedSpecsExpand loads every spec document shipped in examples/
+// and expands it: each must decode, validate and lower to a non-empty
+// campaign.
+func TestShippedSpecsExpand(t *testing.T) {
+	var paths []string
+	for _, pat := range []string{"*.json", "*.toml"} {
+		m, err := filepath.Glob(filepath.Join("..", "..", "examples", pat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, m...)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no spec documents in examples/")
+	}
+	for _, path := range paths {
+		d, err := Load(path)
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		camp, err := d.ExpandCampaign()
+		if err != nil {
+			t.Errorf("%s: expand: %v", path, err)
+			continue
+		}
+		if len(camp.Jobs) == 0 || camp.Name == "" {
+			t.Errorf("%s: campaign %q has %d jobs", path, camp.Name, len(camp.Jobs))
+		}
 	}
 }

@@ -2,6 +2,7 @@ package config
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cpusim"
 	"repro/internal/expers"
@@ -45,7 +46,7 @@ func (d *Document) ExpandCampaign() (runner.Campaign, error) {
 // every cell pinned to the master seed (the cells of one grid must
 // share fault maps to be comparable).
 func (s *SimSpec) expand(seed uint64) ([]runner.Spec, error) {
-	configs, err := systemConfigs(s.Config)
+	configs, err := cpusim.ConfigsByName(s.Config)
 	if err != nil {
 		return nil, err
 	}
@@ -66,23 +67,18 @@ func (s *SimSpec) expand(seed uint64) ([]runner.Spec, error) {
 	return jobs, nil
 }
 
-// StudyList builds the document's study list in order; the CLI runs
-// each as its own campaign and renders its table. seed pins the
-// simulation-backed studies' runs (the goldens use seed 1).
+// StudyList builds the selected studies in the canonical
+// expers.StudyNames order, whatever order Studies lists them in. It is
+// the one study builder: expand concatenates its job lists, and the CLI
+// renders each study's table from that study's slice of the results.
+// seed pins the simulation-backed studies' runs (the goldens use seed 1).
 func (s *SweepSpec) StudyList(seed uint64) ([]expers.Study, error) {
-	studies := make([]expers.Study, 0, len(s.Studies))
-	for _, name := range s.Studies {
-		var (
-			st  expers.Study
-			err error
-		)
-		if name == "mechs" && len(s.Mechanisms) > 0 {
-			// The mechs study is the only mechanism-parameterized one;
-			// the spec's selection narrows its comparison set.
-			st, err = expers.MechStudy(s.Mechanisms)
-		} else {
-			st, err = expers.StudyByName(name, s.Bench, s.SimInstr, seed)
+	var studies []expers.Study
+	for _, name := range expers.StudyNames() {
+		if !slices.Contains(s.Studies, name) {
+			continue
 		}
+		st, err := expers.StudyByName(name, s.Bench, s.SimInstr, seed, s.Mechanisms)
 		if err != nil {
 			return nil, err
 		}

@@ -11,21 +11,45 @@ import (
 	"repro/internal/trace"
 )
 
+// ctxCheckMask throttles cancellation polling in the scalar reference
+// loop: ctx.Err() is checked once every 8192 instructions.
+const ctxCheckMask = 8192 - 1
+
+// runScalar is the reference oracle for the block pipeline: the
+// pre-block inner loop, one generator call and one step per
+// instruction, under the same warm-up and measurement as run.
+func (s *System) runScalar(ctx context.Context, gen trace.Generator, opts RunOptions) (Result, error) {
+	var ins trace.Instr
+	return s.measure(ctx, gen.Name(), opts, func(n uint64) error {
+		for i := uint64(0); i < n; i++ {
+			if i&ctxCheckMask == 0 && ctx.Err() != nil {
+				return ctx.Err()
+			}
+			gen.Next(&ins)
+			s.step(&ins)
+		}
+		return nil
+	})
+}
+
 // runWith builds a fresh System for (cfg, mode, seed) and drives it with
-// its own generator through either the block pipeline or the retained
-// scalar reference loop.
+// its own generator through either the block pipeline or the scalar
+// reference oracle.
 func runWith(t *testing.T, cfg SystemConfig, mode core.Mode, w trace.Workload, opts RunOptions, scalar bool) Result {
 	t.Helper()
 	sys, err := NewSystem(cfg, mode, opts.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.scalarLoop = scalar
 	gen, err := trace.New(w, opts.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.run(context.Background(), gen, opts)
+	run := sys.run
+	if scalar {
+		run = sys.runScalar
+	}
+	res, err := run(context.Background(), gen, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +59,7 @@ func runWith(t *testing.T, cfg SystemConfig, mode core.Mode, w trace.Workload, o
 // TestBlockLoopMatchesScalar is the tentpole's safety harness: for
 // randomized workloads, seeds and window lengths (deliberately not
 // multiples of the block size) across all three modes, the block
-// pipeline and the retained per-instruction reference loop must produce
+// pipeline and the per-instruction reference oracle must produce
 // identical Results — same cycles, stats, energies, transitions.
 func TestBlockLoopMatchesScalar(t *testing.T) {
 	if testing.Short() {

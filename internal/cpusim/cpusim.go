@@ -245,9 +245,6 @@ type System struct {
 	// seed is the construction seed, kept so the arena can key its
 	// pristine fault-map snapshots (see Arena.faultMapFor).
 	seed uint64
-	// scalarLoop selects the retained per-instruction reference loop
-	// instead of the block pipeline; the differential tests set it.
-	scalarLoop bool
 }
 
 // NewSystem builds the three cache levels for the given mode, deriving
@@ -564,12 +561,6 @@ func RunGeneratorContext(ctx context.Context, cfg SystemConfig, mode core.Mode, 
 	return sys.run(ctx, gen, opts)
 }
 
-// ctxCheckMask throttles cancellation polling in the retained scalar
-// instruction loop: ctx.Err() is checked once every 8192 instructions,
-// cheap enough to be invisible and fine-grained enough to stop a run
-// within microseconds. The block loop polls once per block instead.
-const ctxCheckMask = 8192 - 1
-
 // simulate runs n instructions off a trace.Pipe: the pipe fills blocks
 // (ahead, on multi-core hosts) while this consumer steps through them,
 // with cancellation polled once per block. A cancel arriving mid-block
@@ -594,23 +585,6 @@ func (s *System) simulate(ctx context.Context, p *trace.Pipe, n uint64) error {
 		}
 		p.Pos += len(blk)
 		n -= uint64(len(blk))
-	}
-	return nil
-}
-
-// simulateScalar is the retained reference inner loop — one generator
-// call and one step per instruction, exactly the pre-block pipeline.
-// The block loop above must be observationally identical instruction
-// for instruction; TestBlockLoopMatchesScalar drives both over the
-// same workloads and asserts equal Results.
-func (s *System) simulateScalar(ctx context.Context, gen trace.Generator, n uint64) error {
-	var ins trace.Instr
-	for i := uint64(0); i < n; i++ {
-		if i&ctxCheckMask == 0 && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		gen.Next(&ins)
-		s.step(&ins)
 	}
 	return nil
 }
@@ -641,8 +615,23 @@ func (t *transitionTracer) Record(ev obs.PolicyEvent) {
 	sp.EndInstant()
 }
 
-// run drives a prepared system through warm-up and measurement.
+// run drives a prepared system through warm-up and measurement on the
+// block pipeline: gen feeds a trace.Pipe, drawn from the system's
+// arena when it has one.
 func (sys *System) run(ctx context.Context, gen trace.Generator, opts RunOptions) (Result, error) {
+	var pa *trace.PipeArena
+	if sys.arena != nil {
+		pa = &sys.arena.pipes
+	}
+	p := trace.StartPipeArena(trace.AsBlock(gen), pa)
+	defer p.Close()
+	return sys.measure(ctx, gen.Name(), opts, func(n uint64) error { return sys.simulate(ctx, p, n) })
+}
+
+// measure runs the warm-up and measured windows of a prepared system
+// and reports the measured one; window simulates the next n
+// instructions of workload.
+func (sys *System) measure(ctx context.Context, workload string, opts RunOptions, window func(n uint64) error) (Result, error) {
 	cfg := sys.cfg
 	mode := sys.mode
 	parent := tracez.SpanFromContext(ctx)
@@ -654,24 +643,6 @@ func (sys *System) run(ctx context.Context, gen trace.Generator, opts RunOptions
 		sys.SetSink(sink)
 	}
 	sys.start()
-
-	// The block pipeline is the production path; scalarLoop selects the
-	// retained reference loop for differential testing.
-	var p *trace.Pipe
-	if !sys.scalarLoop {
-		var pa *trace.PipeArena
-		if sys.arena != nil {
-			pa = &sys.arena.pipes
-		}
-		p = trace.StartPipeArena(trace.AsBlock(gen), pa)
-		defer p.Close()
-	}
-	window := func(n uint64) error {
-		if sys.scalarLoop {
-			return sys.simulateScalar(ctx, gen, n)
-		}
-		return sys.simulate(ctx, p, n)
-	}
 
 	wsp := parent.Child("sim.warmup")
 	wsp.SetUint("instructions", opts.WarmupInstr)
@@ -710,7 +681,7 @@ func (sys *System) run(ctx context.Context, gen trace.Generator, opts RunOptions
 	esp := parent.Child("sim.energy")
 	cycles := sys.cycles - startCycles
 	res := Result{
-		Workload:     gen.Name(),
+		Workload:     workload,
 		Config:       cfg.Name,
 		Mode:         mode,
 		Instructions: opts.SimInstr,

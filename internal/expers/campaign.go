@@ -61,21 +61,51 @@ import (
 // kinds share cache entries across campaigns with different master
 // seeds.
 func RegisterCampaignKinds(reg *runner.Registry) {
-	reg.MustRegisterKind("cpusim", runCPUSimJob, kindInfo[cpusim.Result](true))
+	for _, k := range campaignKinds {
+		reg.MustRegisterKind(k.name, k.run, k.info)
+	}
+}
+
+// KindParams is the shape every campaign kind's parameter type shares:
+// fill documented defaults, then check the document is runnable.
+type KindParams interface {
+	ApplyDefaults()
+	Validate() error
+}
+
+// campaignKinds is the one table of standard kinds: the registry and
+// the spec layer's job normalization (NewKindParams) both read it.
+var campaignKinds = []struct {
+	name   string
+	run    runner.Func
+	info   runner.KindInfo
+	params func() KindParams
+}{
+	{"cpusim", runCPUSimJob, kindInfo[cpusim.Result](true), func() KindParams { return new(CPUSimParams) }},
 	// multicore keeps the L2 host and every core's system live at
 	// once, which the arena's build-invalidates-previous contract
 	// forbids; it runs arena-less and still gets the memoized statics
 	// (see internal/multicore's concurrency contract).
-	mcInfo := kindInfo[MulticoreOutput](true)
-	mcInfo.NewWorkerState = nil
-	reg.MustRegisterKind("multicore", runMulticoreJob, mcInfo)
-	reg.MustRegisterKind("minvdd", runMinVDDJob, kindInfo[MinVDDOutput](false))
-	reg.MustRegisterKind("mechminvdd", runMechMinVDDJob, kindInfo[MechMinVDDOutput](false))
-	reg.MustRegisterKind("vddlevels", runVDDLevelsJob, kindInfo[VDDLevelsOutput](false))
-	reg.MustRegisterKind("cells", runCellsJob, kindInfo[[]CellRow](false))
-	reg.MustRegisterKind("leakage", runLeakageJob, kindInfo[[]LeakageRow](true))
-	reg.MustRegisterKind("ablation", runAblationJob, kindInfo[[]AblationRow](true))
-	reg.MustRegisterKind("fig4-cell", runFig4CellJob, kindInfo[cpusim.Result](true))
+	{"multicore", runMulticoreJob, withoutArena(kindInfo[MulticoreOutput](true)), func() KindParams { return new(MulticoreParams) }},
+	{"minvdd", runMinVDDJob, kindInfo[MinVDDOutput](false), func() KindParams { return new(MinVDDParams) }},
+	{"mechminvdd", runMechMinVDDJob, kindInfo[MechMinVDDOutput](false), func() KindParams { return new(MechMinVDDParams) }},
+	{"vddlevels", runVDDLevelsJob, kindInfo[VDDLevelsOutput](false), func() KindParams { return new(VDDLevelsParams) }},
+	{"cells", runCellsJob, kindInfo[[]CellRow](false), func() KindParams { return new(CellsParams) }},
+	{"leakage", runLeakageJob, kindInfo[[]LeakageRow](true), func() KindParams { return new(LeakageParams) }},
+	{"ablation", runAblationJob, kindInfo[[]AblationRow](true), func() KindParams { return new(AblationParams) }},
+	{"fig4-cell", runFig4CellJob, kindInfo[cpusim.Result](true), func() KindParams { return new(Fig4CellParams) }},
+}
+
+// NewKindParams returns a fresh parameter document for a standard
+// kind, for strict decoding against it; an unknown kind is an error
+// listing the registry's kinds.
+func NewKindParams(kind string) (KindParams, error) {
+	for _, k := range campaignKinds {
+		if k.name == kind {
+			return k.params(), nil
+		}
+	}
+	return nil, fmt.Errorf("unknown kind %q (known: %v)", kind, NewCampaignRegistry().Kinds())
 }
 
 // kindInfo builds the cache metadata for a kind returning T. Every
@@ -95,6 +125,12 @@ func kindInfo[T any](seeded bool) runner.KindInfo {
 			return out, nil
 		},
 	}
+}
+
+// withoutArena drops a kind's CellArena worker-state factory.
+func withoutArena(info runner.KindInfo) runner.KindInfo {
+	info.NewWorkerState = nil
+	return info
 }
 
 // NewCampaignRegistry returns a registry preloaded with the standard

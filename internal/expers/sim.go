@@ -132,41 +132,39 @@ func Fig4CellJobs(cfg cpusim.SystemConfig, workloads []trace.Workload, opts cpus
 	return jobs, nil
 }
 
-// Fig4Grid runs one configuration's Fig. 4 grid as the campaign
-// "fig4-<config>" through the runner, under the caller's options
-// (workers, result cache, artifacts, tracing, progress callbacks).
-//
-// Every cell is an independent simulation pinned to opts.Seed, so the
-// assembled Fig4Data is byte-identical at any worker count, completion
-// order or cache state; only wall-clock time changes. The campaign
-// result is returned whenever the campaign ran, including when a cell
-// failed (the error then names the first failed cell).
-func Fig4Grid(ctx context.Context, cfg cpusim.SystemConfig, workloads []trace.Workload, opts cpusim.RunOptions, ropts runner.Options) (Fig4Data, *runner.CampaignResult, error) {
-	jobs, err := Fig4CellJobs(cfg, workloads, opts)
-	if err != nil {
-		return Fig4Data{}, nil, err
+// AssembleFig4 builds one Fig4Data per configuration from a Fig. 4
+// grid campaign's results, in the order Fig4CellJobs lays the jobs
+// out: configuration, then workload, then mode. Each cell's output
+// carries its configuration, workload and mode, so the assembly needs
+// nothing but the results, and it rejects a list out of that order.
+// Every cell must be done.
+func AssembleFig4(results []runner.JobResult) ([]Fig4Data, error) {
+	if len(results)%len(fig4Modes) != 0 {
+		return nil, fmt.Errorf("expers: Fig. 4 grid has %d cells, not a whole number of %d-mode rows", len(results), len(fig4Modes))
 	}
-	cres, err := runner.Run(ctx, NewCampaignRegistry(),
-		runner.Campaign{Name: "fig4-" + cfg.Name, Seed: opts.Seed, Jobs: jobs}, ropts)
-	if err != nil {
-		return Fig4Data{}, nil, err
-	}
-	for _, r := range cres.Results {
-		if r.Status != runner.StatusDone {
-			return Fig4Data{}, cres, fmt.Errorf("expers: %s: %s", r.Name, r.Error)
+	var grids []Fig4Data
+	for i := 0; i < len(results); i += len(fig4Modes) {
+		var cells [3]cpusim.Result
+		for m := range cells {
+			c, err := jobOutput[cpusim.Result](results, i+m)
+			if err != nil {
+				return nil, err
+			}
+			if m == 0 {
+				cells[0] = c
+			}
+			if c.Mode != fig4Modes[m] || c.Config != cells[0].Config || c.Workload != cells[0].Workload {
+				return nil, fmt.Errorf("expers: Fig. 4 cell %d is %s/%s/%v, out of grid order", i+m, c.Config, c.Workload, c.Mode)
+			}
+			cells[m] = c
 		}
+		if len(grids) == 0 || grids[len(grids)-1].Config != cells[0].Config {
+			grids = append(grids, Fig4Data{Config: cells[0].Config})
+		}
+		g := &grids[len(grids)-1]
+		g.Rows = append(g.Rows, Fig4Row{Workload: cells[0].Workload, Baseline: cells[0], SPCS: cells[1], DPCS: cells[2]})
 	}
-	data := Fig4Data{Config: cfg.Name}
-	for i, w := range workloads {
-		row := cres.Results[i*len(fig4Modes):]
-		data.Rows = append(data.Rows, Fig4Row{
-			Workload: w.Name,
-			Baseline: row[0].Output.(cpusim.Result),
-			SPCS:     row[1].Output.(cpusim.Result),
-			DPCS:     row[2].Output.(cpusim.Result),
-		})
-	}
-	return data, cres, nil
+	return grids, nil
 }
 
 // Summary aggregates a configuration's Fig. 4 data into the paper's

@@ -123,10 +123,7 @@ func TestFig4RunsWholeSuiteSmoke(t *testing.T) {
 	}
 	cfg := cpusim.ConfigA()
 	opts := cpusim.RunOptions{WarmupInstr: 20_000, SimInstr: 60_000, Seed: 1}
-	d, _, err := Fig4Grid(context.Background(), cfg, trace.Suite(), opts, runner.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := runFig4Grid(t, cfg, trace.Suite(), opts, 0)
 	if len(d.Rows) != 16 {
 		t.Fatalf("%d rows", len(d.Rows))
 	}
@@ -135,6 +132,29 @@ func TestFig4RunsWholeSuiteSmoke(t *testing.T) {
 			t.Errorf("%s zero baseline energy", r.Workload)
 		}
 	}
+}
+
+// runFig4Grid runs one configuration's grid as `pcs sim` does — the
+// Fig4CellJobs campaign through the runner, assembled by AssembleFig4.
+func runFig4Grid(t *testing.T, cfg cpusim.SystemConfig, workloads []trace.Workload, opts cpusim.RunOptions, workers int) Fig4Data {
+	t.Helper()
+	jobs, err := Fig4CellJobs(cfg, workloads, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := runner.Run(context.Background(), NewCampaignRegistry(),
+		runner.Campaign{Name: "fig4", Seed: opts.Seed, Jobs: jobs}, runner.Options{Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grids, err := AssembleFig4(res.Results)
+	if err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
+	}
+	if len(grids) != 1 {
+		t.Fatalf("workers=%d: %d configs assembled, want 1", workers, len(grids))
+	}
+	return grids[0]
 }
 
 // TestFig4ParallelMatchesSerial asserts the worker-pool grid produces
@@ -168,10 +188,7 @@ func TestFig4ParallelMatchesSerial(t *testing.T) {
 		serial.Rows = append(serial.Rows, row)
 	}
 	for _, workers := range []int{1, 4} {
-		parallel, _, err := Fig4Grid(context.Background(), cfg, workloads, opts, runner.Options{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+		parallel := runFig4Grid(t, cfg, workloads, opts, workers)
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Fatalf("workers=%d: parallel Fig4Data diverges from serial:\nserial   %+v\nparallel %+v",
 				workers, serial, parallel)
@@ -317,5 +334,39 @@ func TestStaleOutputSchemaRecomputes(t *testing.T) {
 				t.Fatalf("%s run %d: total_cache_energy_j = %v", tc.job.Kind, run, e)
 			}
 		}
+	}
+}
+
+// TestAssembleFig4 checks the assembler splits a two-config grid into
+// one Fig4Data per config, row by row, and rejects cells out of grid
+// order.
+func TestAssembleFig4(t *testing.T) {
+	var results []runner.JobResult
+	for _, cfg := range []string{"A", "B"} {
+		for _, w := range []string{"mcf.s", "hmmer.s"} {
+			for _, m := range fig4Modes {
+				results = append(results, runner.JobResult{Index: len(results), Status: runner.StatusDone,
+					Output: cpusim.Result{Config: cfg, Workload: w, Mode: m}})
+			}
+		}
+	}
+	grids, err := AssembleFig4(results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(grids) != 2 || grids[0].Config != "A" || grids[1].Config != "B" {
+		t.Fatalf("assembled %d grids: %+v", len(grids), grids)
+	}
+	for _, g := range grids {
+		if len(g.Rows) != 2 || g.Rows[1].Workload != "hmmer.s" || g.Rows[1].DPCS.Mode != core.DPCS {
+			t.Fatalf("config %s rows: %+v", g.Config, g.Rows)
+		}
+	}
+	results[4], results[5] = results[5], results[4]
+	if _, err := AssembleFig4(results); err == nil || !strings.Contains(err.Error(), "out of grid order") {
+		t.Fatalf("swapped cells: error %v", err)
+	}
+	if _, err := AssembleFig4(results[:5]); err == nil {
+		t.Fatal("accepted a partial row")
 	}
 }

@@ -13,9 +13,9 @@ import (
 // This file defines the design-space studies around the paper's
 // mechanism (Sec. 3.1 and Sec. 5 future work) as reusable Study values:
 // a campaign job list plus a renderer from the job results back to the
-// study's table. The pcs CLI runs them locally through internal/runner;
-// internal/config expands the same job lists for remote submission, so a
-// sweep spec runs identically on a pcs-server.
+// study's table. internal/config concatenates the selected studies' job
+// lists into one campaign, which `pcs sweep` and a pcs-server both run,
+// so a sweep spec runs identically either way.
 //
 // The grids, job names and table formats are stable: sweep_output.txt is
 // the committed golden rendering (fixed seeds, fixed grids).
@@ -23,7 +23,8 @@ import (
 // Study is one named design-space study: the jobs that compute it and
 // the table that presents it.
 type Study struct {
-	// Name labels the study's campaign (and its runs/<name>/ artifacts).
+	// Name prefixes the study's job names in a sweep campaign
+	// ("dpcs/baseline").
 	Name string
 	// Jobs is the campaign job list, in grid order.
 	Jobs []runner.Spec
@@ -288,8 +289,9 @@ func StudyNames() []string {
 
 // StudyByName builds the named study with the given workload and window
 // parameters (used by the dpcs/leakage/ablate studies; ignored by the
-// analytical ones).
-func StudyByName(name, bench string, instr, seed uint64) (Study, error) {
+// analytical ones) and mechanism selection (used by mechs; nil compares
+// every registered mechanism).
+func StudyByName(name, bench string, instr, seed uint64, mechanisms []string) (Study, error) {
 	switch name {
 	case "assoc":
 		return AssocStudy(), nil
@@ -304,7 +306,7 @@ func StudyByName(name, bench string, instr, seed uint64) (Study, error) {
 	case "ablate":
 		return AblationStudy(instr, seed), nil
 	case "mechs":
-		return MechStudy(nil)
+		return MechStudy(mechanisms)
 	default:
 		return Study{}, fmt.Errorf("expers: unknown study %q (known: %v)", name, StudyNames())
 	}

@@ -12,16 +12,38 @@ import (
 	"repro/internal/trace"
 )
 
+// runScalar is the reference oracle for the sharded feeds: the
+// pre-pipe interleave, one generator call and one step per core per
+// sweep, under the same warm-up and measurement as run.
+func (sys *System) runScalar(ctx context.Context, warmupPerCore, instrPerCore uint64) (Result, error) {
+	var ins trace.Instr
+	return sys.measure(ctx, warmupPerCore, instrPerCore, func(n uint64) error {
+		for k := uint64(0); k < n; k++ {
+			if k&ctxCheckMask == 0 && ctx.Err() != nil {
+				return ctx.Err()
+			}
+			for _, c := range sys.cores {
+				c.gen.Next(&ins)
+				sys.step(c, &ins)
+			}
+		}
+		return nil
+	})
+}
+
 // runWith builds a fresh multi-core System and drives it through either
-// the sharded per-core block feeds or the retained scalar interleave.
+// the sharded per-core block feeds or the scalar reference oracle.
 func runWith(t *testing.T, cfg Config, mode core.Mode, w trace.Workload, warm, instr, seed uint64, scalar bool) Result {
 	t.Helper()
 	sys, err := newSystem(cfg, mode, w, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.scalarLoop = scalar
-	res, err := sys.run(context.Background(), warm, instr)
+	run := sys.run
+	if scalar {
+		run = sys.runScalar
+	}
+	res, err := run(context.Background(), warm, instr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -177,10 +177,6 @@ type System struct {
 	global uint64 // monotone global clock for the shared L2
 	cohInv uint64
 	l2SPCS int
-	// scalarLoop selects the retained per-instruction reference
-	// interleave instead of the sharded block feeds; the differential
-	// tests set it.
-	scalarLoop bool
 }
 
 // builderFacade reuses cpusim's per-level construction through its
@@ -442,48 +438,28 @@ func RunContext(ctx context.Context, cfg Config, mode core.Mode, w trace.Workloa
 // run drives a prepared multi-core system through warm-up and
 // measurement.
 //
-// The production path shards trace generation across the cell: every
-// core's generator — an independent, separately-seeded RNG stream —
-// feeds its own trace.Pipe, so on multi-core hosts N producer
-// goroutines fill reused block arenas concurrently while this single
-// consumer goroutine interleaves the cores round-robin. Everything at
-// or below the sharing boundary — private-L1 state, the coherence
-// directory, the shared L2 — is touched only by the consumer, in a
-// fixed sweep order, so the simulation is deterministic regardless of
-// producer scheduling: each pipe delivers its core's stream in
-// production order, and the interleaving of streams is fixed by the
-// round-robin. TestShardedMatchesSerial pins this against the retained
-// scalar interleave.
+// It shards trace generation across the cell: every core's generator —
+// an independent, separately-seeded RNG stream — feeds its own
+// trace.Pipe, so on multi-core hosts N producer goroutines fill reused
+// block arenas concurrently while this single consumer goroutine
+// interleaves the cores round-robin. Everything at or below the sharing
+// boundary — private-L1 state, the coherence directory, the shared L2 —
+// is touched only by the consumer, in a fixed sweep order, so the
+// simulation is deterministic regardless of producer scheduling: each
+// pipe delivers its core's stream in production order, and the
+// interleaving of streams is fixed by the round-robin.
+// TestShardedMatchesSerial pins this against a scalar reference
+// interleave.
 func (sys *System) run(ctx context.Context, warmupPerCore, instrPerCore uint64) (Result, error) {
-	parent := tracez.SpanFromContext(ctx)
-	cfg := sys.cfg
-	mode := sys.mode
-	sys.start()
-
-	if !sys.scalarLoop {
-		for _, c := range sys.cores {
-			c.pipe = trace.StartPipe(trace.AsBlock(c.gen))
-		}
-		defer func() {
-			for _, c := range sys.cores {
-				c.pipe.Close()
-			}
-		}()
+	for _, c := range sys.cores {
+		c.pipe = trace.StartPipe(trace.AsBlock(c.gen))
 	}
-	var ins trace.Instr
-	interleave := func(n uint64) error {
-		if sys.scalarLoop {
-			for k := uint64(0); k < n; k++ {
-				if k&ctxCheckMask == 0 && ctx.Err() != nil {
-					return ctx.Err()
-				}
-				for _, c := range sys.cores {
-					c.gen.Next(&ins)
-					sys.step(c, &ins)
-				}
-			}
-			return nil
+	defer func() {
+		for _, c := range sys.cores {
+			c.pipe.Close()
 		}
+	}()
+	return sys.measure(ctx, warmupPerCore, instrPerCore, func(n uint64) error {
 		for k := uint64(0); k < n; k++ {
 			if k&ctxCheckMask == 0 && ctx.Err() != nil {
 				return ctx.Err()
@@ -498,7 +474,18 @@ func (sys *System) run(ctx context.Context, warmupPerCore, instrPerCore uint64) 
 			}
 		}
 		return nil
-	}
+	})
+}
+
+// measure runs the warm-up and measured windows of a prepared system
+// and reports the measured one; interleave runs the next n
+// instructions on every core.
+func (sys *System) measure(ctx context.Context, warmupPerCore, instrPerCore uint64, interleave func(n uint64) error) (Result, error) {
+	parent := tracez.SpanFromContext(ctx)
+	cfg := sys.cfg
+	mode := sys.mode
+	sys.start()
+
 	wsp := parent.Child("sim.warmup")
 	wsp.SetUint("instructions_per_core", warmupPerCore)
 	if err := interleave(warmupPerCore); err != nil {

@@ -54,10 +54,14 @@ go test -count=1 -run 'TestRegistryCompleteness|TestMechStudyCoversRegistry' ./i
 go test -count=1 -run 'TestAdapterDifferential' ./internal/mechanism
 go test -count=1 -run 'TestKeyGoldenFixtures|TestKeyMechVersionBump' ./internal/resultstore
 
-# One Fig. 4 cell path (DESIGN.md §10): a sim spec document run by
-# `pcs sim -spec` and the same document served through POST /campaigns
-# must leave byte-identical results.jsonl.
-go test -count=1 -run 'TestSimLocalMatchesServed' ./cmd/pcs
+# One spec, one campaign (DESIGN.md §9): a sim, sweep or multicore
+# document run by `pcs sim|sweep|multicore -spec` must leave exactly one
+# run dir whose results.jsonl is byte-identical to the same document
+# served through POST /campaigns; flags beat PCS_<FLAG> beats the spec
+# beats the default; and every shipped examples/ spec must load and
+# expand to a non-empty campaign.
+go test -count=1 -run 'TestLocalMatchesServed|TestFlagEnvSpecPrecedence' ./cmd/pcs
+go test -count=1 -run 'TestShippedSpecsExpand' ./internal/config
 
 # One lifecycle stream (DESIGN.md §11.4): for done, failed-cell and
 # cancelled served campaigns the status, /events and timeline.jsonl
