@@ -1,7 +1,9 @@
-# Development entry points. `make check` is the full gate: vet plus the
-# race-enabled test suite (the campaign runner's worker pool is
-# exercised under the race detector by internal/expers and
-# internal/runner tests).
+# Development entry points. `make check` is vet plus the race-enabled
+# test suite (the campaign runner's worker pool is exercised under the
+# race detector by internal/expers and internal/runner tests); CI runs
+# the fuller scripts/check.sh, which adds the allocation gates and the
+# same-host throughput gate (scripts/benchgate.sh). End-to-end
+# performance is measured by perfbench/ (BENCHMARK.json).
 
 GO ?= go
 
@@ -13,7 +15,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null)
 LDFLAGS = -X repro/internal/version.Version=$(VERSION)
 
-.PHONY: all build vet test race check bench fig4 sweep goldens figures clean
+.PHONY: all build vet test race check fig4 sweep goldens figures clean
 
 all: check
 
@@ -32,19 +34,6 @@ race:
 	$(GO) test -race ./...
 
 check: vet race
-
-# Benchmark snapshot: runs every benchmark (the figure pipelines in the
-# root bench_test.go, the policy-tick hot path, the metrics registry)
-# with allocation stats, archives the test2json stream as a new
-# BENCH_<date>.json (never clobbering an existing snapshot), and
-# prints the ns/op comparison against the most recent previous
-# snapshot. The snapshot records BENCHTIME/BENCHCOUNT so comparisons
-# of unlike runs are flagged; BENCHTIME=2s BENCHCOUNT=3 gives
-# steady-state best-of numbers.
-BENCHTIME ?= 1x
-BENCHCOUNT ?= 1
-bench:
-	BENCHTIME=$(BENCHTIME) BENCHCOUNT=$(BENCHCOUNT) sh scripts/bench.sh
 
 # Golden runs, driven by the checked-in spec documents (DESIGN.md §9).
 # fig4 reproduces fig4_output.txt; sweep reproduces sweep_output.txt.

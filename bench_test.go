@@ -1,12 +1,14 @@
-// Package repro_test holds the benchmark harness: one testing.B benchmark
-// per paper table and figure, each invoking the same experiment code the
-// cmd tools use (internal/expers). Benchmarks report the figure's
-// headline quantity as custom metrics, so `go test -bench=. -benchmem`
-// both times the experiment pipeline and regenerates the key numbers.
+// Package repro_test holds the root benchmarks: each runs the same
+// experiment code the pcs commands use (internal/expers) and reports its
+// headline quantity as custom metrics. The analytical figures have no
+// benchmark of their own, because after their first call they are memo
+// lookups; internal/expers/analytical_test.go and analytical_output.txt
+// pin them instead.
 //
-// Simulation-backed benchmarks (Fig. 4) run scaled-down instruction
-// windows to keep bench time reasonable; the full-scale official run is
-// `cmd/pcs-sim` (see EXPERIMENTS.md for its recorded output).
+// Simulations run scaled-down instruction windows to keep bench time
+// reasonable; the full-scale official run is `pcs sim` (see
+// EXPERIMENTS.md for its recorded output). scripts/benchgate.sh gates
+// BenchmarkSimulatorThroughput against the work tree's base commit.
 package repro_test
 
 import (
@@ -22,122 +24,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
-
-// BenchmarkFig2BER regenerates the SRAM bit-error-rate curve (Fig. 2).
-func BenchmarkFig2BER(b *testing.B) {
-	var pts []expers.Fig2Point
-	for i := 0; i < b.N; i++ {
-		pts, _ = expers.Fig2()
-	}
-	b.ReportMetric(pts[len(pts)-1].BER*1e12, "BER@1.0V(e-12)")
-	b.ReportMetric(pts[0].BER*1e3, "BER@0.3V(e-3)")
-}
-
-// BenchmarkFig3aPowerCapacity regenerates the static power vs effective
-// capacity comparison (Fig. 3a) and reports the FFT-Cache gap at the
-// 99 % capacity point (paper: 28.2 % with 3 VDD levels).
-func BenchmarkFig3aPowerCapacity(b *testing.B) {
-	var gap3 float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		gap3, err = expers.Fig3aGapAt99(expers.L1ConfigA(), 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(gap3*100, "gap3lvl-%")
-}
-
-// BenchmarkFig3bCapacity regenerates the usable-blocks curves (Fig. 3b).
-func BenchmarkFig3bCapacity(b *testing.B) {
-	var curves []*expers.MechCurve
-	for i := 0; i < b.N; i++ {
-		var err error
-		curves, _, err = expers.Fig3bMechs(expers.L1ConfigA(), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	// Capacity retained at 0.54 V (grid index for 0.54 from 0.30).
-	for _, c := range curves {
-		switch c.Name {
-		case "proposed":
-			b.ReportMetric(c.Capacity[24]*100, "proposedCap@0.54V-%")
-		case "fftcache":
-			b.ReportMetric(c.Capacity[24]*100, "fftCap@0.54V-%")
-		}
-	}
-}
-
-// BenchmarkFig3cLeakage regenerates the leakage breakdown (Fig. 3c).
-func BenchmarkFig3cLeakage(b *testing.B) {
-	var rows []expers.Fig3cRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, _, err = expers.Fig3c(expers.L1ConfigA())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[len(rows)-1].TotalW*1e3, "totalLeak@1.0V-mW")
-}
-
-// BenchmarkFig3dYield regenerates the five-scheme yield comparison
-// (Fig. 3d) and reports each scheme's min-VDD at 99 % yield.
-func BenchmarkFig3dYield(b *testing.B) {
-	var rows []expers.MinVDDRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		_, _, err = expers.Fig3dMechs(expers.L1ConfigA(), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows, _, err = expers.MinVDDMechs(expers.L1ConfigA(), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		if r.OK {
-			b.ReportMetric(r.MinVDD, "minVDD-"+r.Scheme)
-		}
-	}
-}
-
-// BenchmarkAreaOverhead regenerates the Sec. 4.2 area-overhead table
-// (paper: 2-5 % total in the worst case).
-func BenchmarkAreaOverhead(b *testing.B) {
-	var rows []expers.AreaRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, _, err = expers.AreaOverheads()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	worst := 0.0
-	for _, r := range rows {
-		if r.OverheadFraction > worst {
-			worst = r.OverheadFraction
-		}
-	}
-	b.ReportMetric(worst*100, "worstOverhead-%")
-}
-
-// BenchmarkMinVDDvsAssoc regenerates the Sec. 3.1 design-space claim:
-// higher associativity lowers the yield-constrained min-VDD.
-func BenchmarkMinVDDvsAssoc(b *testing.B) {
-	var plans []expers.VDDPlanRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		plans, _, err = expers.VDDPlans()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(plans[0].VDD1, "VDD1-L1A")
-	b.ReportMetric(plans[3].VDD1, "VDD1-L2B")
-}
 
 // fig4Bench runs a scaled-down Fig. 4 for one configuration over a
 // representative benchmark subset — through the worker pool and each
@@ -182,15 +68,15 @@ func fig4Bench(b *testing.B, cfg cpusim.SystemConfig) {
 }
 
 // BenchmarkFig4ConfigA regenerates the Fig. 4 simulation panels for
-// Config A (scaled; full run via cmd/pcs-sim).
+// Config A (scaled; full run via pcs sim).
 func BenchmarkFig4ConfigA(b *testing.B) { fig4Bench(b, cpusim.ConfigA()) }
 
 // BenchmarkFig4ConfigB regenerates the Fig. 4 simulation panels for
-// Config B (scaled; full run via cmd/pcs-sim).
+// Config B (scaled; full run via pcs sim).
 func BenchmarkFig4ConfigB(b *testing.B) { fig4Bench(b, cpusim.ConfigB()) }
 
 // BenchmarkDPCSParamSweep exercises the Sec. 5 policy design space: one
-// workload under three escape budgets (the pcs-sweep tool's -dpcs study).
+// workload under three escape budgets (the study `pcs sweep -dpcs` runs).
 func BenchmarkDPCSParamSweep(b *testing.B) {
 	w, ok := trace.ByName("bzip2.s")
 	if !ok {
@@ -221,21 +107,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(opts.SimInstr)*float64(b.N)/b.Elapsed().Seconds(), "instr/s")
-}
-
-// BenchmarkCellComparison regenerates the bit-cell study (paper Sec. 2:
-// hardened 8T/10T cells vs 6T + the proposed mechanism).
-func BenchmarkCellComparison(b *testing.B) {
-	var rows []expers.CellRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, _, err = expers.CellComparison()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[0].MinVDDWithPCS, "minVDD-6T+PCS")
-	b.ReportMetric(rows[2].MinVDDNoFT, "minVDD-10T-bare")
 }
 
 // BenchmarkLeakageTechniques regenerates the drowsy/decay/SPCS leakage

@@ -20,6 +20,27 @@ import (
 	"repro/internal/version"
 )
 
+// Request read bounds for pcs serve. A client that never finishes its
+// headers, or trickles a request body, is disconnected instead of
+// holding a connection forever. ReadTimeout covers a whole request
+// including its body (spec documents are capped at 16 MiB). There is
+// deliberately no WriteTimeout: /results, /events and /spans stream for
+// a campaign's whole life.
+const (
+	serveReadHeaderTimeout = 5 * time.Second
+	serveReadTimeout       = time.Minute
+)
+
+// newHTTPServer is the http.Server pcs serve listens with.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+		ReadTimeout:       serveReadTimeout,
+	}
+}
+
 // serveCommand exposes the campaign runner (internal/runner) as an HTTP
 // job service, so sweep and Monte-Carlo campaigns over the repository's
 // experiment kinds can be submitted, monitored and harvested remotely —
@@ -101,7 +122,7 @@ func serveCommand() *cli.Command {
 				mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 				mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 			}
-			httpSrv := &http.Server{Addr: addr, Handler: obs.RequestLogger(logger, mux)}
+			httpSrv := newHTTPServer(addr, obs.RequestLogger(logger, mux))
 
 			ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 			defer stop()

@@ -169,7 +169,7 @@ type RunOptions struct {
 }
 
 // DefaultRunOptions returns the scaled-down defaults used by the test
-// suite; the cmd/pcs-sim harness uses larger values.
+// suite; `pcs sim` uses larger values.
 func DefaultRunOptions() RunOptions {
 	return RunOptions{WarmupInstr: 1_000_000, SimInstr: 2_000_000, Seed: 1}
 }

@@ -18,8 +18,8 @@ import (
 )
 
 // miniFig4 runs a reduced Fig. 4 (two benchmarks, short windows) to keep
-// the unit-test suite fast; the full run lives in cmd/pcs-sim and the
-// root benchmarks.
+// the unit-test suite fast; the full run is `pcs sim` and the root
+// benchmarks.
 func miniFig4(t *testing.T) Fig4Data {
 	t.Helper()
 	cfg := cpusim.ConfigA()

@@ -9,8 +9,8 @@ import (
 )
 
 // This file renders DPCS policy timelines (streams of obs.PolicyEvent,
-// typically read back from a timeline.jsonl written by pcs-sim
-// -timeline or a pcs-sweep per-job policy file) as VDD-vs-time views:
+// typically read back from a timeline.jsonl written by `pcs sim
+// -timeline` or a `pcs sweep -dpcs -timeline` per-job policy file) as VDD-vs-time views:
 // the raw transition trajectory and the per-level residency summary.
 // The residency replay is the same piecewise-constant reconstruction
 // the cpusim reconciliation test performs against

@@ -1,6 +1,6 @@
 // Package plot renders simple line/scatter charts as standalone SVG
 // documents using only the standard library, so the reproduction can
-// emit graphical versions of the paper's figures (cmd/pcs-figures).
+// emit graphical versions of the paper's figures (`pcs figures`).
 // It supports linear and log10 y-axes, multiple named series, axis
 // ticks, a legend, and nothing else — exactly enough for Figs. 2–4.
 package plot

@@ -22,11 +22,13 @@ go test -race ./...
 # Hot-path allocation regression gates: a cache demand access and a
 # steady-state DPCS policy tick must stay at 0 allocs/op, the batched
 # simulator inner loop must simulate a whole block without heap
-# allocation, and the metric observation paths must be allocation-free
-# once the series handle is resolved.
+# allocation, a whole throughput-benchmark simulation must stay within
+# its committed allocation count and bytes at both trace-pipe shapes,
+# and the metric observation paths must be allocation-free once the
+# series handle is resolved.
 go test -count=1 -run 'TestAccessZeroAllocs' ./internal/cache
 go test -count=1 -run 'TestPolicyTickZeroAllocs' ./internal/core
-go test -count=1 -run 'TestBlockLoopZeroAllocs' ./internal/cpusim
+go test -count=1 -run 'TestBlockLoopZeroAllocs|TestRunAllocBounds' ./internal/cpusim
 go test -count=1 -run 'TestHotPathMetricsAllocFree' ./internal/obs
 
 # Tracing gates: the span API must cost nothing when tracing is off
@@ -73,16 +75,16 @@ go test -count=10 -race -run 'TestServedLifecycleMatchesTimeline|TestServedRunEr
 go test -count=1 -run 'TestScrapeMatchesWalkAfterOverwrite|TestScrapeSizeBytesRefresh' ./internal/resultstore
 
 # Campaign-cell throughput smoke: one cold and one warm pass of the
-# mixed grid so the end-to-end cells/sec benchmark stays runnable; the
-# archived numbers come from `make bench`.
+# mixed grid so the cells/sec benchmark stays runnable. Nothing here
+# records timings; end-to-end performance is perfbench/'s job.
 go test -run '^$' -bench 'BenchmarkCampaignCellThroughput' -benchtime 1x . > /dev/null
 
 # Short-mode benchmark smoke run: one iteration of every benchmark so a
-# crashing or pathologically slow benchmark fails the gate; timings are
-# not archived here (that is `make bench`).
+# crashing or pathologically slow benchmark fails the gate.
 go test -short -run '^$' -bench . -benchtime 1x -benchmem . ./internal/core ./internal/obs > /dev/null
 
-# Throughput regression gate: fail if the simulator inner loop has
-# regressed more than 10% versus the newest committed BENCH_*.json
-# steady-state snapshot (best-of on both sides; see benchgate.sh).
+# Throughput regression gate: fail if BenchmarkSimulatorThroughput's
+# best-of ns/op over 5 interleaved pairs (GOMAXPROCS=1, GOGC=off) is
+# more than 10% above the same benchmark built from the base commit and
+# run on the same host (see benchgate.sh).
 sh scripts/benchgate.sh
